@@ -93,15 +93,6 @@ class FiatConfig:
     #: open and lets the event-gap rule close them naturally.
     recovery_reconcile: str = "fail-closed"
 
-    # -- streaming engine (repro.stream) --------------------------------------
-    #: Route packets through the vectorized streaming engine instead of
-    #: the scalar per-packet path.  The decision log is byte-identical
-    #: either way (the repro.stream equivalence contract); streaming
-    #: trades per-packet latency for throughput.
-    streaming: bool = False
-    #: Packets buffered per streaming window before a vectorized flush.
-    stream_window: int = 1024
-
     # -- observability --------------------------------------------------------
     #: Shared :class:`~repro.obs.Observability` handle (metrics registry,
     #: trace-ID minter, optional JSONL audit sink).  ``None`` disables all
@@ -132,5 +123,3 @@ class FiatConfig:
             )
         if self.snapshot_interval_s <= 0:
             raise ValueError("snapshot_interval_s must be positive")
-        if self.stream_window < 1:
-            raise ValueError("stream_window must be >= 1")

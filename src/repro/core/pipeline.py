@@ -142,7 +142,6 @@ class FiatSystem:
             app_for_device=dict(APP_PACKAGES),
             start_time=0.0,
         )
-        self._attach_streaming(self.proxy)
         #: humanness-validation confusion accumulated during experiments
         self.human_confusion = {"tp": 0, "fn": 0, "tn": 0, "fp": 0}
         #: fault injection (installed by :meth:`install_faults`)
@@ -218,15 +217,7 @@ class FiatSystem:
             app_for_device=dict(APP_PACKAGES),
             start_time=0.0,
         )
-        self._attach_streaming(proxy)
         return proxy, validation
-
-    def _attach_streaming(self, proxy: FiatProxy) -> None:
-        """Attach the vectorized streaming engine when configured."""
-        if self.config.streaming:
-            from ..stream.engine import StreamingEngine
-
-            proxy.attach_engine(StreamingEngine(proxy, window=self.config.stream_window))
 
     def cold_restart(self) -> Tuple[FiatProxy, HumanValidationService]:
         """Swap in a freshly built stack (a supervised process restart).
@@ -272,11 +263,10 @@ class FiatSystem:
 
         return chaos_sweep(self, n_trials=n_trials, seed=seed, **kwargs)
 
-    def _process(self, packet) -> Optional[bool]:
+    def _process(self, packet) -> bool:
         """Feed one packet to the proxy, journaling it first when enabled.
 
-        Returns the forwarding verdict, or ``None`` when a streaming
-        engine deferred it to the next window flush.
+        Returns the forwarding verdict.
         """
         if self.recovery is not None:
             self.recovery.journal_packet(packet)

@@ -148,8 +148,6 @@ class FiatProxy:
         # when observability is off, so the disabled fast path pays a
         # single always-false float compare per packet.
         self._next_sample_at = 0.0 if self._obs.enabled else float("inf")
-        #: optional streaming front-end (see :meth:`attach_engine`)
-        self._engine = None
         self._open: Dict[str, _OpenEvent] = {}
         self._violations: Dict[str, List[float]] = {}
         self._locked: Dict[str, float] = {}
@@ -188,36 +186,6 @@ class FiatProxy:
                 "recovered_open_events",
             ),
         )
-
-    # -- streaming front-end (repro.stream) ----------------------------------------
-
-    def attach_engine(self, engine) -> None:
-        """Route :meth:`ingest` through a streaming engine.
-
-        The engine buffers packets and processes them in vectorized
-        windows; every state-reading or state-mutating proxy operation
-        calls :meth:`_barrier` first, so outside the hot path the proxy
-        behaves — byte-for-byte — as if every packet had gone through
-        :meth:`process` individually.
-        """
-        self._engine = engine
-
-    def _barrier(self) -> None:
-        """Drain any packets the attached engine has buffered."""
-        if self._engine is not None:
-            self._engine.flush_pending()
-
-    def ingest(self, packet: Packet) -> Optional[bool]:
-        """Feed one packet via the attached engine, or :meth:`process`.
-
-        With an engine attached the verdict is deferred to the next
-        window flush and ``None`` is returned; without one this is
-        exactly :meth:`process`.
-        """
-        if self._engine is not None:
-            self._engine.feed(packet)
-            return None
-        return self.process(packet)
 
     # -- circuit breakers ---------------------------------------------------------
 
@@ -265,7 +233,6 @@ class FiatProxy:
         the proxy's acknowledgement: the app's reliable sender
         retransmits until it sees one.
         """
-        self._barrier()
         if not self._validation_breaker.allow_request(now):
             self.health["auth_dropped_breaker_open"] += 1
             return None
@@ -286,7 +253,6 @@ class FiatProxy:
 
     def unlock(self, device: str) -> None:
         """User manually re-authorizes a disconnected device."""
-        self._barrier()
         self._locked.pop(device, None)
         self._violations.pop(device, None)
 
@@ -309,7 +275,7 @@ class FiatProxy:
             return 1
         return self.config.first_n_packets
 
-    def _classify_manual(self, device: str, classifier, prefix, now: float, hint=None):
+    def _classify_manual(self, device: str, classifier, prefix, now: float):
         """Classify behind the device's circuit breaker.
 
         Returns ``(manual, degraded)``: ``degraded`` is ``None`` for a
@@ -318,17 +284,11 @@ class FiatProxy:
         the configurable fallback either treats every unpredictable
         event as manual-shaped (``assume-manual``, needs a humanness
         proof) or waves it through (``allow``).
-
-        ``hint`` is a precomputed classification from the streaming
-        engine's batched predict call; it replaces only the model
-        inference itself — the breaker bookkeeping around it runs
-        unchanged, so breaker state evolves exactly as in the scalar
-        path.
         """
         breaker = self._breaker_for(device)
         if breaker.allow_request(now):
             try:
-                manual = bool(classifier.is_manual(prefix)) if hint is None else hint
+                manual = bool(classifier.is_manual(prefix))
             except Exception:
                 logger.debug(
                     "classifier for %s failed at t=%.3f", device, now, exc_info=True
@@ -372,17 +332,17 @@ class FiatProxy:
             return True, "validation-outage:fail-open"
         return False, "validation-outage:fail-closed"
 
-    def _decide(self, device: str, event: _OpenEvent, now: float, hint=None) -> None:
+    def _decide(self, device: str, event: _OpenEvent, now: float) -> None:
         if self._obs.enabled:
             t0 = perf_counter()
-            self._decide_inner(device, event, now, hint)
+            self._decide_inner(device, event, now)
             self._obs.observe(
                 "proxy_decide_latency_ms", (perf_counter() - t0) * 1000.0
             )
         else:
-            self._decide_inner(device, event, now, hint)
+            self._decide_inner(device, event, now)
 
-    def _decide_inner(self, device: str, event: _OpenEvent, now: float, hint=None) -> None:
+    def _decide_inner(self, device: str, event: _OpenEvent, now: float) -> None:
         classifier = self.classifiers.get(device)
         if classifier is None:
             # Unknown device: fail open on classification (the paper's
@@ -392,7 +352,7 @@ class FiatProxy:
             event.predicted_manual = False
             return
         prefix = event.packets[: self._decision_prefix(device)]
-        manual, degraded = self._classify_manual(device, classifier, prefix, now, hint)
+        manual, degraded = self._classify_manual(device, classifier, prefix, now)
         event.decided = True
         event.predicted_manual = manual
         event.degraded = degraded
@@ -557,17 +517,6 @@ class FiatProxy:
             self.n_allowed += 1
             return True
 
-        return self._process_unpredictable(packet, now, device, obs)
-
-    def _process_unpredictable(
-        self, packet: Packet, now: float, device: str, obs, hint=None
-    ) -> bool:
-        """Event-path tail of :meth:`process`: a packet that missed the rules.
-
-        Factored out so the streaming engine can route its precomputed
-        rule misses here directly (with an optional batched-classification
-        ``hint``); behaviour is identical to the scalar path.
-        """
         # Unpredictable: event grouping per device.
         event = self._open.get(device)
         if event is not None and now - event.last_time > self.config.event_gap_s:
@@ -585,7 +534,7 @@ class FiatProxy:
             # rule devices this happens on the first packet, *before*
             # forwarding it (the proxy delays packets via NFQUEUE), so a
             # one-packet plug command can still be blocked.
-            self._decide(device, event, now, hint)
+            self._decide(device, event, now)
 
         if event.decided:
             allowed = event.allow
@@ -599,13 +548,14 @@ class FiatProxy:
                 obs.inc("proxy_drops_total", reason="manual-unverified")
         return allowed
 
+    #: The packet entry point :class:`~repro.core.pipeline.FiatSystem`
+    #: feeds: every verdict is decided before the call returns.
+    ingest = process
+
     def run_trace(self, trace: Trace) -> None:
         """Convenience: process a whole trace in timestamp order."""
-        if self._engine is not None:
-            self._engine.feed_many(trace)
-        else:
-            for packet in trace:
-                self.process(packet)
+        for packet in trace:
+            self.process(packet)
         self.flush()
 
     def flush(self) -> None:
@@ -616,7 +566,6 @@ class FiatProxy:
         is an accident of history that a crash/restart resets, and the
         decision log must be identical either way.
         """
-        self._barrier()
         for device, event in sorted(
             self._open.items(),
             key=lambda kv: (kv[1].packets[0].timestamp if kv[1].packets else 0.0, kv[0]),
@@ -648,7 +597,6 @@ class FiatProxy:
 
     def decisions_for(self, device: str) -> List[EventDecision]:
         """Decision records of one device."""
-        self._barrier()
         return [d for d in self.decisions if d.device == device]
 
     def metrics_snapshot(self) -> MetricsSnapshot:
@@ -658,7 +606,6 @@ class FiatProxy:
         otherwise it is the private registry holding only the
         :attr:`health` counters.
         """
-        self._barrier()
         self._sync_packet_counters()
         return self._health_registry.snapshot()
 
@@ -670,7 +617,6 @@ class FiatProxy:
         produce identical bytes (the determinism contract of
         ``repro.faults``).
         """
-        self._barrier()
         return json.dumps(
             [asdict(d) for d in self.decisions], sort_keys=True, separators=(",", ":")
         ).encode("utf-8")
@@ -684,9 +630,7 @@ class FiatProxy:
         read — taking a snapshot never perturbs behaviour, so
         ``decision_log()`` is byte-identical whether or not snapshots
         were cut mid-run (the behaviour-neutrality contract the
-        recovery property tests enforce).  With a streaming engine
-        attached the pending window is drained first, so the snapshot
-        captures the state of everything fed so far.
+        recovery property tests enforce).
 
         Covers: learned bucket tables, the frozen rule table, open
         unpredictable events (packets included), lockout/violation
@@ -696,7 +640,6 @@ class FiatProxy:
         its own ``to_state``) and the DNS table are process-local and
         re-injected on restore.
         """
-        self._barrier()
         return {
             "v": _STATE_VERSION,
             "start_time": self._start_time,
@@ -741,7 +684,6 @@ class FiatProxy:
         and validation service wiring; ``restore`` replaces only the
         volatile security state a process death would lose.
         """
-        self._barrier()
         if state.get("v") != _STATE_VERSION:
             raise ValueError(f"unsupported FiatProxy state version: {state.get('v')!r}")
         self._start_time = float(state["start_time"])
@@ -810,7 +752,6 @@ class FiatProxy:
         is not evidence of an attack.  Returns the number of events
         reconciled.
         """
-        self._barrier()
         reconciled = 0
         for device, event in sorted(self._open.items()):
             if not event.packets:

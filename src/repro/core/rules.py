@@ -48,9 +48,6 @@ class RuleTable:
         self._last_hit: Dict[Tuple[Hashable, ...], float] = {}
         self.n_hits = 0
         self.n_misses = 0
-        #: bumped whenever the rule *set* changes; the streaming engine
-        #: keys its vectorized match cache on (table identity, counter).
-        self._mutations = 0
 
     @classmethod
     def from_predictor(cls, predictor: BucketPredictor) -> "RuleTable":
@@ -71,7 +68,6 @@ class RuleTable:
     def add_rule(self, key: Tuple[Hashable, ...], bins: Set[int]) -> None:
         """Manually install a rule (used by the §7 DAG extension)."""
         self._rules.setdefault(key, set()).update(bins)
-        self._mutations += 1
 
     def matches(self, packet: Packet) -> bool:
         """Whether the packet hits an allow rule.
@@ -123,8 +119,6 @@ class RuleTable:
         for key in stale:
             del self._rules[key]
             self._last_hit.pop(key, None)
-        if stale:
-            self._mutations += 1
         return len(stale)
 
     def merge_from_predictor(
@@ -154,7 +148,6 @@ class RuleTable:
                 added += 1
             else:
                 self._rules[key].update(bins)
-        self._mutations += 1
         return added
 
     @property

@@ -30,9 +30,6 @@ class DnsTable:
         self._ip_to_domain: Dict[str, str] = {}
         self._reverse: Dict[str, str] = {}
         self._aliases: Dict[str, str] = {}
-        #: bumped on every mutation; flow-key caches (repro.stream) use it
-        #: to invalidate memoised ip -> domain resolutions.
-        self.version = 0
         if records:
             for ip, domain in records:
                 self.add_record(ip, domain)
@@ -40,17 +37,14 @@ class DnsTable:
     def add_record(self, ip: str, domain: str) -> None:
         """Register a forward DNS record (authoritative for this table)."""
         self._ip_to_domain[ip] = domain
-        self.version += 1
 
     def add_reverse_record(self, ip: str, domain: str) -> None:
         """Register a PTR record used only when no forward record exists."""
         self._reverse[ip] = domain
-        self.version += 1
 
     def add_alias(self, domain: str, canonical: str) -> None:
         """Declare ``domain`` to be an alias (CNAME) of ``canonical``."""
         self._aliases[domain] = canonical
-        self.version += 1
 
     def canonicalize(self, domain: str) -> str:
         """Follow alias chains to the canonical domain name."""

@@ -22,10 +22,9 @@ small scheduling jitter does not break a match, while genuinely drifting
 timers — such as the Nest thermostat's motion-triggered wakeups, which
 vary by several seconds — remain unpredictable, as observed in the paper.
 
-Both the offline pass and the bulk learning path
-(:meth:`BucketPredictor.observe_batch`) run on the shared vectorized
-bin-matching core in :mod:`repro.stream.binmatch`, so offline and online
-labelling use one implementation.
+The offline pass runs on the vectorized bin-matching primitives of
+:mod:`repro.predictability.binmatch` (one NumPy pass over the whole
+trace); the online learner is the per-packet :meth:`BucketPredictor.observe`.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from time import perf_counter
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -42,6 +41,14 @@ from ..net.flows import FlowDefinition, decode_flow_key, encode_flow_key, flow_k
 from ..net.packet import Packet
 from ..net.trace import Trace
 from ..obs import NULL_OBS, Observability
+from .binmatch import (
+    KeyInterner,
+    chain_prev,
+    codes_safe,
+    neighbor_counts,
+    pair_codes,
+    quantize_iat_array,
+)
 
 __all__ = ["BucketPredictor", "label_predictable", "quantize_iat"]
 
@@ -134,8 +141,6 @@ class BucketPredictor:
         self._obs = obs if obs is not None else NULL_OBS
         self._buckets: Dict[Tuple[Hashable, ...], _BucketState] = defaultdict(_BucketState)
         self._n_observed = 0
-        #: lazily built flow-key interner backing :meth:`observe_batch`
-        self._interner = None
 
     # -- online interface ---------------------------------------------------------
 
@@ -185,127 +190,10 @@ class BucketPredictor:
             state.packet_bins.append((self._n_observed - 1, iat_bin))
         return matched
 
-    def observe_batch(
-        self,
-        packets: Sequence[Packet],
-        kids: Optional[np.ndarray] = None,
-        timestamps: Optional[np.ndarray] = None,
-        keys: Optional[List[Tuple[Hashable, ...]]] = None,
-    ) -> None:
-        """Bulk-feed packets through the vectorized learning path.
-
-        Produces **exactly** the learner state of calling
-        :meth:`observe` once per packet in order (same bucket creation
-        order, bin insertion order, last timestamps and
-        ``_n_observed``), but computes all IAT bins in one NumPy pass
-        and touches each distinct (bucket, bin) pair once instead of
-        each packet.  Match flags are not reported — this is the
-        learning path (the proxy's bootstrap window ignores them);
-        enforcement-time matching lives in :mod:`repro.stream.engine`.
-
-        ``kids``/``timestamps``/``keys`` let a caller that already
-        interned the packets (the streaming engine, whose
-        :class:`~repro.stream.binmatch.KeyInterner` shares this
-        predictor's flow definition and DNS table) pass its bucket ids
-        and ``kid -> flow key`` list instead of paying a second
-        interning pass; they must be supplied together.
-
-        Falls back to the scalar loop when per-packet history tracking
-        is on (the history needs global packet indices per packet) or
-        when bins overflow the packed-code range.
-        """
-        n = len(packets)
-        if n == 0:
-            return
-        if self.track_packet_bins or n == 1:
-            for packet in packets:
-                self.observe(packet)
-            return
-
-        from ..stream.binmatch import (
-            PAIR_SHIFT,
-            KeyInterner,
-            chain_prev,
-            codes_safe,
-            first_last_per_kid,
-            pair_codes,
-            quantize_iat_array,
-        )
-
-        if kids is None:
-            interner = self._interner
-            if interner is None:
-                interner = self._interner = KeyInterner(self.definition, self.dns)
-            interner.check_dns()
-            memo_get = interner.memo.get
-            raw = interner.raw
-            slow = interner.intern_slow
-            kid_list: List[int] = []
-            append = kid_list.append
-            for packet in packets:
-                rk = raw(packet)
-                kid = memo_get(rk)
-                if kid is None:
-                    kid = slow(packet, rk)
-                append(kid)
-            kids = np.asarray(kid_list, dtype=np.int64)
-            keys = interner.keys
-        assert keys is not None
-        if timestamps is None:
-            timestamps = np.fromiter(
-                (p.timestamp for p in packets), dtype=np.float64, count=n
-            )
-
-        # Bucket states for this batch's kids, created (when new) in
-        # first-occurrence order — the scalar bucket creation order.
-        uniq_kids, first_idx, last_idx = first_last_per_kid(kids)
-        order = np.argsort(first_idx, kind="stable")
-        buckets = self._buckets
-        state_by_kid: Dict[int, _BucketState] = {}
-        for pos in order.tolist():
-            kid = int(uniq_kids[pos])
-            state_by_kid[kid] = buckets[keys[kid]]
-
-        # Carry each bucket's pre-batch last_timestamp into the batch's
-        # first packet of that bucket (at most one such packet per kid).
-        _, prev_ts = chain_prev(kids, timestamps)
-        firsts = np.nonzero(np.isnan(prev_ts))[0]
-        if len(firsts):
-            prev_ts[firsts] = [
-                np.nan if last is None else last
-                for last in (state_by_kid[int(kids[i])].last_timestamp for i in firsts)
-            ]
-        has_prev = ~np.isnan(prev_ts)
-
-        iats = timestamps - prev_ts
-        bins = quantize_iat_array(iats, self.resolution)
-        if not codes_safe(kids[has_prev], bins[has_prev], self.neighbor_bins):
-            for packet in packets:
-                self.observe(packet)
-            return
-
-        # Per-(bucket, bin) counts, applied in first-occurrence order so
-        # each bucket's bin dict lists bins exactly as the scalar loop
-        # would have inserted them (serialised state stays identical).
-        uniq_codes, code_first, counts = np.unique(
-            pair_codes(kids[has_prev], bins[has_prev]),
-            return_index=True,
-            return_counts=True,
-        )
-        code_order = np.argsort(code_first, kind="stable")
-        for pos in code_order.tolist():
-            kid, iat_bin = divmod(int(uniq_codes[pos]), PAIR_SHIFT)
-            iat_bins = state_by_kid[kid].iat_bins
-            iat_bins[iat_bin] = iat_bins.get(iat_bin, 0) + int(counts[pos])
-
-        for kid, i in zip(uniq_kids.tolist(), last_idx.tolist()):
-            state_by_kid[kid].last_timestamp = float(timestamps[i])
-        self._n_observed += n
-
     def learn_trace(self, trace: Iterable[Packet]) -> None:
-        """Bulk-feed a (bootstrap) trace without collecting the results."""
-        packets = trace if isinstance(trace, (list, tuple)) else list(trace)
-        self.observe_batch(packets)
+        """Feed a (bootstrap) trace without collecting the results."""
+        for packet in trace:
+            self.observe(packet)
 
     # -- learned-state inspection ---------------------------------------------------
 
@@ -431,19 +319,10 @@ def label_predictable(
     IAT involving its successor, i.e. when the flow itself is periodic
     from the start.
 
-    Runs on the shared vectorized core of :mod:`repro.stream.binmatch`
+    Runs on the vectorized primitives of :mod:`repro.predictability.binmatch`
     (one NumPy pass over the whole trace); pathological bin ranges fall
     back to the scalar reference implementation.
     """
-    from ..stream.binmatch import (
-        KeyInterner,
-        chain_prev,
-        codes_safe,
-        neighbor_counts,
-        pair_codes,
-        quantize_iat_array,
-    )
-
     dns = dns if dns is not None else trace.dns
     n = len(trace)
     if n == 0:

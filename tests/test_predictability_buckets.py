@@ -162,43 +162,6 @@ def _random_packets(seed, n=500, n_flows=8):
     return packets
 
 
-class TestObserveBatch:
-    def test_state_identical_to_scalar_observe(self):
-        import json
-
-        for seed in range(3):
-            packets = _random_packets(seed)
-            scalar = BucketPredictor()
-            for packet in packets:
-                scalar.observe(packet)
-            batched = BucketPredictor()
-            batched.observe_batch(packets)
-            # Unsorted dumps: bucket/bin *insertion order* must match too.
-            assert json.dumps(batched.to_state(), sort_keys=False) == json.dumps(
-                scalar.to_state(), sort_keys=False
-            ), seed
-
-    def test_chunked_batches_equal_one_batch(self):
-        import json
-
-        packets = _random_packets(9)
-        whole = BucketPredictor()
-        whole.observe_batch(packets)
-        chunked = BucketPredictor()
-        for i in range(0, len(packets), 37):
-            chunked.observe_batch(packets[i : i + 37])
-        assert json.dumps(chunked.to_state()) == json.dumps(whole.to_state())
-
-    def test_tracking_predictor_falls_back_to_scalar(self):
-        packets = _random_packets(1, n=60)
-        tracking = BucketPredictor(track_packet_bins=True)
-        tracking.observe_batch(packets)
-        reference = BucketPredictor(track_packet_bins=True)
-        for packet in packets:
-            reference.observe(packet)
-        assert tracking.to_state() == reference.to_state()
-
-
 class TestOnlineMemoryBounded:
     def test_state_size_flat_over_long_run(self):
         """The memory-leak regression: per-packet history must be opt-in.
@@ -211,7 +174,7 @@ class TestOnlineMemoryBounded:
 
         def state_size(n):
             predictor = BucketPredictor()
-            predictor.observe_batch(_random_packets(3, n=1000) * (n // 1000))
+            predictor.learn_trace(_random_packets(3, n=1000) * (n // 1000))
             return len(json.dumps(predictor.to_state()))
 
         small, large = state_size(10_000), state_size(100_000)
@@ -265,7 +228,7 @@ class TestStateVersioning:
         import json
 
         predictor = BucketPredictor()
-        predictor.observe_batch(_random_packets(8, n=300))
+        predictor.learn_trace(_random_packets(8, n=300))
         state = predictor.to_state()
         assert state["v"] == 2
         assert json.dumps(BucketPredictor.from_state(state).to_state()) == json.dumps(
