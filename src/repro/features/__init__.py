@@ -14,7 +14,6 @@ from .sensor_features import (
     N_SENSOR_FEATURES,
     SENSOR_AXES,
     SENSOR_FEATURE_NAMES,
-    axis_statistics,
     sensor_features,
     windows_to_matrix,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "AXIS_STATS",
     "SENSOR_FEATURE_NAMES",
     "N_SENSOR_FEATURES",
-    "axis_statistics",
     "sensor_features",
     "windows_to_matrix",
 ]
