@@ -58,6 +58,8 @@ from repro.recovery.journal import JournalWriter, read_journal
 from repro.recovery.snapshot import read_snapshot
 
 N_HOMES = 4
+#: homes in the partitioned-machine test (see the test for why so many)
+ZOMBIE_HOMES = 32
 
 
 def _spec(n=N_HOMES, seed=0):
@@ -398,13 +400,20 @@ class TestCoordinatorFaults:
         assert coordinator.stats["re_leases"] >= 1
         assert coordinator.stats["leases_granted"] >= 3
 
-    def test_drop_fault_zombie_submission_rejected(self, tmp_path, serial_ref):
-        spec, ref = serial_ref
+    def test_drop_fault_zombie_submission_rejected(self, tmp_path):
+        # The zombie must still be working when its 2 s lease runs out and
+        # must submit before a successor can: ~31 homes at ~0.2 s each
+        # outlast the lease, and the successor lease waits ~7 s (seeded
+        # backoff) before it starts.
+        spec = _spec(ZOMBIE_HOMES)
+        ref = FleetRunner(spec, jobs=1).run().to_json()
         coordinator = DistribCoordinator(
             spec,
             state_dir=str(tmp_path / "state"),
             machines=1,  # one range: the zombie owns all remaining homes
             lease_timeout_s=2.0,
+            lease_backoff_base_s=5.0,
+            lease_backoff_max_s=5.0,
             machine_faults=[MachineFault("drop", 0, after_homes=1)],
         )
         report = coordinator.run()
