@@ -4,9 +4,8 @@ The fleet report answers the questions one home cannot: how accuracy is
 *distributed* across a population (percentiles, not a single Table-6
 row), what the per-traffic-class confusion totals look like fleet-wide,
 how alerts roll up, and what the merged metrics registry of all shards
-says.  Merging rides on :meth:`repro.obs.MetricsSnapshot.merge` — the
-fleet is the first real consumer of the sharded-deployment contract the
-registry was designed around.
+says.  The metrics merge keeps :meth:`repro.obs.MetricsSnapshot.merge`
+semantics with exact sums (below).
 
 Bounded memory: the fold is *incremental* (:class:`FleetAggregator`),
 never a terminal pass over an O(homes) result list.  Three devices keep
@@ -20,13 +19,9 @@ the running state O(1) in fleet size:
   kept — failure detail must never be truncated away); the report's
   ``coverage`` block states how many rows were dropped, so truncation
   is never silent;
-* fleet metrics merge through a :class:`~repro.obs.mergetree.SnapshotMergeTree`
-  — a binomial forest of exact (rational-sum) partial accumulators,
-  ``O(log n)`` of them, replacing the old linear
-  ``MetricsSnapshot.merge`` left fold; sums are correctly rounded once
-  at render time instead of once per shard, and the merge is
-  associative, which is what the shard → group → fleet hierarchy (and
-  multi-machine merge-final) requires.
+* fleet metrics fold into one exact (rational-sum)
+  :class:`~repro.obs.mergetree.SnapshotAccumulator`; sums are correctly
+  rounded once at render time instead of once per shard.
 
 Determinism contract: results fold strictly in spec order, so the
 report is a pure function of the ``(spec, per-home results)`` sequence
@@ -43,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..obs import MetricsSnapshot
-from ..obs.mergetree import SnapshotMergeTree
+from ..obs.mergetree import SnapshotAccumulator
 from ..util import spawn_seed
 from .spec import FleetSpec
 from .worker import HomeResult
@@ -178,7 +173,7 @@ class FleetAggregator:
     replay of a retried home is naturally idempotent.
     """
 
-    STATE_FORMAT = 2
+    STATE_FORMAT = 3
 
     def __init__(
         self,
@@ -204,7 +199,7 @@ class FleetAggregator:
         }
         self.class_counts: Dict[str, Dict[str, int]] = {}
         self.alerts: Dict[str, int] = {}
-        self.merge_tree = SnapshotMergeTree()
+        self.metrics = SnapshotAccumulator()
 
     @property
     def completed(self) -> int:
@@ -221,49 +216,6 @@ class FleetAggregator:
 
     def add(self, idx: int, result: HomeResult) -> None:
         """Fold one result at spec position ``idx`` (spec order!)."""
-        self._fold(idx, result, fold_metrics=True)
-
-    def absorb_range(
-        self,
-        start_idx: int,
-        results: "Sequence[HomeResult]",
-        merge_tree_state: Optional[Dict[str, object]] = None,
-    ) -> None:
-        """Fold a contiguous result range, absorbing its metrics subtree.
-
-        The distributed-fleet merge step: ``results[k]`` is the result
-        for spec position ``start_idx + k``.  Rows, reservoirs, class
-        counts and alerts are re-folded here in spec order (the sample
-        reservoirs key replacement on the *global* fold count, so they
-        cannot be merged from per-range state), while the metrics union
-        arrives pre-reduced as ``merge_tree_state`` — the serialized
-        :class:`SnapshotMergeTree` the range's machine built over its
-        own ok results, absorbed wholesale.  Because the accumulator
-        merge is exact, absorbing per-range subtrees in spec order
-        yields bit-identical metrics to folding every home one by one.
-
-        Fail-closed: the shipped subtree must cover exactly the ok
-        results of the range, else :class:`ValueError`.  With
-        ``merge_tree_state=None`` the metrics are re-folded locally
-        (offline merges of raw results logs).
-        """
-        results = list(results)
-        tree: Optional[SnapshotMergeTree] = None
-        if merge_tree_state is not None:
-            tree = SnapshotMergeTree.from_state(merge_tree_state)
-            n_ok = sum(1 for result in results if result.ok)
-            if tree.n_shards != n_ok:
-                raise ValueError(
-                    f"range merge tree covers {tree.n_shards} ok shards, "
-                    f"but the range [{start_idx}, {start_idx + len(results)}) "
-                    f"has {n_ok}"
-                )
-        for offset, result in enumerate(results):
-            self._fold(start_idx + offset, result, fold_metrics=tree is None)
-        if tree is not None:
-            self.merge_tree.absorb(tree)
-
-    def _fold(self, idx: int, result: HomeResult, fold_metrics: bool) -> None:
         self.epoch += 1
         self.max_idx = max(self.max_idx, idx)
         if idx in self.failed_rows:  # quarantined home re-run: replace
@@ -287,13 +239,14 @@ class FleetAggregator:
             target["blocked"] += int(tally["blocked"])
         for kind, count in result.alerts.items():
             self.alerts[kind] = self.alerts.get(kind, 0) + int(count)
-        if fold_metrics:
-            self.merge_tree.add(result.snapshot())
+        self.metrics = self.metrics.merge(
+            SnapshotAccumulator.from_snapshot(result.snapshot())
+        )
 
     @property
     def merged(self) -> MetricsSnapshot:
         """The merged fleet metrics of every ok shard folded so far."""
-        return self.merge_tree.result()
+        return self.metrics.snapshot()
 
     # -- checkpoint round trip ---------------------------------------------------
 
@@ -312,10 +265,10 @@ class FleetAggregator:
             "samples": {name: r.to_state() for name, r in self.samples.items()},
             "class_counts": self.class_counts,
             "alerts": self.alerts,
-            # The exact forest, not a rounded snapshot: resuming from a
+            # The exact sums, not a rounded snapshot: resuming from a
             # checkpoint must reproduce the uninterrupted merge bit for
             # bit, including the deferred single rounding step.
-            "merge_tree": self.merge_tree.to_state(),
+            "metrics": self.metrics.to_state(),
         }
 
     @classmethod
@@ -329,7 +282,7 @@ class FleetAggregator:
     ) -> "FleetAggregator":
         """Inverse of :meth:`to_state`."""
         state_format = int(state.get("format", -1))
-        if state_format not in (1, cls.STATE_FORMAT):
+        if state_format not in (1, 2, cls.STATE_FORMAT):
             raise ValueError(
                 f"unsupported aggregator state format {state.get('format')!r}"
             )
@@ -351,19 +304,16 @@ class FleetAggregator:
             for cls_name, tally in state.get("class_counts", {}).items()
         }
         agg.alerts = {k: int(v) for k, v in state.get("alerts", {}).items()}
-        if state_format == 1:
-            # Pre-tree checkpoint: lift the already-rounded snapshot as a
-            # single range so an old state dir stays resumable.
-            metrics = state.get("metrics", {})
-            snapshot = MetricsSnapshot(
-                counters=dict(metrics.get("counters", {})),
-                gauges=dict(metrics.get("gauges", {})),
-                histograms=dict(metrics.get("histograms", {})),
-            )
-            if any((snapshot.counters, snapshot.gauges, snapshot.histograms)):
-                agg.merge_tree.add(snapshot)
+        if state_format == 2:
+            # Binomial-forest checkpoint: level i covers an older range
+            # than level i - 1, so merge the levels oldest first.
+            for level in reversed(state["merge_tree"]["levels"]):
+                if level is not None:
+                    agg.metrics = agg.metrics.merge(SnapshotAccumulator.from_state(level))
         else:
-            agg.merge_tree = SnapshotMergeTree.from_state(state["merge_tree"])
+            # Format 1 stored the rounded merged snapshot under the same
+            # key; its floats lift exactly as one range.
+            agg.metrics = SnapshotAccumulator.from_state(state.get("metrics", {}))
         return agg
 
     # -- rendering ---------------------------------------------------------------
@@ -383,7 +333,7 @@ class FleetAggregator:
             for idx in sorted({*self.ok_rows, *self.failed_rows})
         ]
         quarantined = [home_id for _, home_id in self.quarantined]
-        merged = self.merge_tree.result()
+        merged = self.merged
         return FleetReport(
             name=self.name,
             seed=self.seed,

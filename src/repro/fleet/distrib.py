@@ -45,13 +45,11 @@ The coordinator ledger
     bit-identically.
 
 Exact merge
-    Each machine ships its range's metrics as a serialized
-    :class:`~repro.obs.mergetree.SnapshotMergeTree`; the coordinator
-    absorbs the subtrees in spec order and re-folds the raw results for
-    rows/reservoirs/counts (see
-    :meth:`~repro.fleet.aggregate.FleetAggregator.absorb_range`).
-    Because the accumulator merge is exact, tree shape cannot leak into
-    the report bytes.
+    The coordinator (and the offline ``fleet-merge``) folds each finished
+    range by reading its raw home results back from the results journals
+    and passing them through :meth:`~repro.fleet.aggregate.FleetAggregator.add`
+    in spec order, range after range — the same fold a single-machine
+    run does, so the report bytes cannot depend on the partition.
 """
 
 from __future__ import annotations
@@ -70,7 +68,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..faults.plan import MachineFault
-from ..obs.mergetree import SnapshotMergeTree
 from ..recovery.journal import JournalWriter, read_journal
 from ..recovery.snapshot import read_snapshot, write_snapshot
 from ..util import spawn_seed
@@ -369,6 +366,27 @@ def read_range_results(
     return results
 
 
+def _fold_range_results(
+    agg: FleetAggregator, range_dir: str, start: int, stop: int, label: str
+) -> None:
+    """Fold one finished range's logged results into ``agg``, in spec order.
+
+    The one merge step of the coordinator and of ``fleet-merge``.
+    Fail-closed: if the results journals miss any home of
+    ``[start, stop)``, nothing is folded and :class:`SubmissionMismatch`
+    is raised.
+    """
+    results = read_range_results(range_dir, start, stop)
+    for idx in range(start, stop):
+        if idx not in results:
+            raise SubmissionMismatch(
+                f"{label}: results log is missing home {idx} — "
+                "refusing to fold an incomplete range"
+            )
+    for idx in range(start, stop):
+        agg.add(idx, HomeResult.from_dict(results[idx]))
+
+
 def covered_prefix(results: Dict[int, Dict[str, object]], start: int, stop: int) -> int:
     """First index of ``[start, stop)`` with no logged result."""
     next_idx = start
@@ -511,10 +529,9 @@ def run_machine(payload: Dict[str, object]) -> int:
     Resumes from the union of every prior epoch's results journal,
     runs the uncovered suffix through a :class:`FleetRunner`, logs each
     result (flushed, digest-stamped) before anything else sees it, and
-    finishes with one atomic epoch-namespaced submission file carrying
-    the range's serialized merge tree.  Injected :class:`MachineFault`s
-    whose ``epoch`` matches this lease fire after the configured number
-    of homes.  Returns a process exit code.
+    finishes with one atomic epoch-namespaced submission file.  Injected
+    :class:`MachineFault`s whose ``epoch`` matches this lease fire after
+    the configured number of homes.  Returns a process exit code.
     """
     source = open_spec(str(payload["spec"]))
     expected_digest = str(payload.get("spec_digest", ""))
@@ -536,11 +553,6 @@ def run_machine(payload: Dict[str, object]) -> int:
 
     prior = read_range_results(range_dir, start, stop)
     next_idx = covered_prefix(prior, start, stop)
-    tree = SnapshotMergeTree()
-    for idx in range(start, next_idx):
-        replayed = HomeResult.from_dict(prior[idx])
-        if replayed.ok:
-            tree.add(replayed.snapshot())
 
     telemetry_dir = _epoch_telemetry_dir(range_dir, epoch)
     heartbeat = _MachineHeartbeat(
@@ -579,8 +591,6 @@ def run_machine(payload: Dict[str, object]) -> int:
         log.append(
             {"idx": next_idx + local_idx, "digest": result_digest(body), "result": body}
         )
-        if result.ok:
-            tree.add(result.snapshot())
         folded_here += 1
         heartbeat.progress = (next_idx - start) + folded_here
         if armed is not None and folded_here == armed.after_homes:
@@ -614,8 +624,6 @@ def run_machine(payload: Dict[str, object]) -> int:
             "seed": source.seed,
             "spec_digest": source.digest,
             "n_results": stop - start,
-            "n_ok": tree.n_shards,
-            "merge_tree": tree.to_state(),
         }
         write_snapshot(_submit_path(range_dir, epoch), submission)
     finally:
@@ -963,20 +971,7 @@ class DistribCoordinator:
         if error:
             raise SubmissionMismatch(f"range {range_index}: {error}")
         start, stop = self.ranges[range_index]
-        results_map = read_range_results(range_dir, start, stop)
-        try:
-            results = [
-                HomeResult.from_dict(results_map[idx]) for idx in range(start, stop)
-            ]
-        except KeyError as missing:
-            raise SubmissionMismatch(
-                f"range {range_index}: results log is missing home {missing} — "
-                "refusing to fold an incomplete range"
-            ) from None
-        try:
-            self._agg.absorb_range(start, results, submission["merge_tree"])
-        except ValueError as error_:
-            raise SubmissionMismatch(f"range {range_index}: {error_}") from None
+        _fold_range_results(self._agg, range_dir, start, stop, f"range {range_index}")
         self._ledger.append({"kind": "folded", "range": range_index}, sync=True)
         self._folded_upto = range_index + 1
         self.stats["ranges_folded"] += 1
@@ -1031,8 +1026,6 @@ class DistribCoordinator:
                 return "fleet seed mismatch"
             if str(submission["spec_digest"]) != str(self._header["spec_digest"]):
                 return "spec digest mismatch"
-            if not isinstance(submission["merge_tree"], dict):
-                return "merge_tree is not a state dict"
         except (KeyError, TypeError, ValueError) as error:
             return f"malformed submission ({error})"
         return None
@@ -1255,7 +1248,7 @@ def _expand_range_dirs(paths: Sequence[str]) -> List[str]:
 
 
 def merge_range_dirs(paths: Sequence[str]) -> FleetReport:
-    """Absorb finished range dirs offline into one exact fleet report.
+    """Fold finished range dirs offline into one exact fleet report.
 
     The ``fleet-merge`` backend: give it range dirs (or coordinator
     state dirs, which expand to their ranges) whose newest valid
@@ -1299,19 +1292,7 @@ def merge_range_dirs(paths: Sequence[str]) -> FleetReport:
             raise SubmissionMismatch(
                 f"{range_dir}: range {kind} — starts at {start}, expected {expect}"
             )
-        results_map = read_range_results(range_dir, start, stop)
-        try:
-            results = [
-                HomeResult.from_dict(results_map[idx]) for idx in range(start, stop)
-            ]
-        except KeyError as missing:
-            raise SubmissionMismatch(
-                f"{range_dir}: results log is missing home {missing}"
-            ) from None
-        try:
-            agg.absorb_range(start, results, submission["merge_tree"])
-        except ValueError as error:
-            raise SubmissionMismatch(f"{range_dir}: {error}") from None
+        _fold_range_results(agg, range_dir, start, stop, range_dir)
         expect = stop
     return agg.report(n_planned=expect)
 

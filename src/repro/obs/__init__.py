@@ -24,8 +24,8 @@ This package provides that layer without touching behaviour:
     The injectable :class:`Observability` handle carried on
     :attr:`repro.core.config.FiatConfig.obs`.
 ``repro.obs.mergetree``
-    Exact (rational-sum) hierarchical merging of snapshots — the
-    shard → group → fleet tree reduction behind the fleet aggregate.
+    Exact (rational-sum) merging of snapshots behind the fleet
+    aggregate.
 ``repro.obs.trajectory``
     The committed perf trajectory: bench-history recording, the
     regression gate, and the ``fiat-repro bench-report`` trend view.
@@ -45,7 +45,7 @@ from .exporter import (
     write_bench_snapshot,
 )
 from .handle import NULL_OBS, Observability
-from .mergetree import SnapshotAccumulator, SnapshotMergeTree, merge_snapshots
+from .mergetree import SnapshotAccumulator, merge_snapshots
 from .registry import (
     DEFAULT_LATENCY_BUCKETS_MS,
     CounterView,
@@ -79,6 +79,5 @@ __all__ = [
     "render_report",
     "render_trace",
     "SnapshotAccumulator",
-    "SnapshotMergeTree",
     "merge_snapshots",
 ]

@@ -1,64 +1,34 @@
-"""Hierarchical, exact merging of :class:`MetricsSnapshot`s.
+"""Exact merging of :class:`MetricsSnapshot`s.
 
-The fleet aggregation layer used to fold shard snapshots with a linear
-left fold (``merged = merged.merge(shard)``).  That fold has two
-problems at population scale:
+A plain left fold of snapshots (``merged = merged.merge(shard)``)
+rounds every counter and histogram sum once per shard, so the fleet
+sums drift with fleet size, and the order of float additions leaks into
+the report bytes.  A :class:`SnapshotAccumulator` keeps every additive
+quantity as an exact rational (:class:`fractions.Fraction` — every IEEE
+double is a dyadic rational, so float ingestion is lossless) and
+converts to float exactly once, when :meth:`SnapshotAccumulator.snapshot`
+renders it.  Exact addition is associative, so merging partial ranges
+in order gives the same bytes as folding every shard one by one.  The
+non-additive parts keep the linear-fold semantics: gauges are
+last-writer-wins over the ordered sequence, histogram min/max take the
+extrema.
 
-* it is *sequential by construction* — a million-home fleet cannot
-  split the merge across groups of shards (shard → group → fleet, the
-  ROADMAP's tree-merge item) because pairwise float addition is not
-  associative: ``(a + b) + c`` and ``a + (b + c)`` differ in the last
-  ulp, and one ulp is a different byte in the report;
-* every intermediate rounding step loses precision, so the final
-  counter/histogram sums drift with fleet size.
-
-This module fixes both at once.  A :class:`SnapshotAccumulator` holds
-one contiguous *range* of shards with every additive quantity kept as
-an exact rational (:class:`fractions.Fraction` — every IEEE double is a
-dyadic rational, so float ingestion is lossless).  Exact addition *is*
-associative, which makes any merge tree over the shard sequence produce
-the same accumulator — and after a single correctly-rounded conversion
-to float at render time, the same snapshot bytes.  The non-additive
-parts keep their linear-fold semantics: gauges are last-writer-wins
-(associative over an *ordered* sequence, which every merge here
-preserves), histogram min/max take the extrema (order-free).
-
-:class:`SnapshotMergeTree` is the bounded-memory driver: a binomial
-forest (the classic tree-reduction counter) that ingests shards one at
-a time, keeps only ``O(log n)`` partial accumulators, and collapses
-them on demand.  Two trees over adjacent shard ranges combine exactly
-with :meth:`SnapshotMergeTree.absorb` — the multi-machine merge-final
-step: each machine folds its own shard range, ships
-:meth:`SnapshotMergeTree.to_state`, and the coordinator absorbs the
-states in range order.
-
-Equivalence contract (property-tested): for shards whose histogram
-boundaries are consistent per metric name — which the registry
-guarantees by pinning boundaries on first observation —
-``SnapshotMergeTree`` over a shard sequence renders byte-identically to
-the exact linear fold of the same sequence, regardless of tree shape.
-The one documented divergence from the *old float* fold is deliberate:
-sums are now correctly rounded once instead of rounded ``n - 1`` times,
-so the tree is byte-identical to the fold for integral values (all
-counters and histogram counts) and strictly *more* accurate for
-fractional ones.
+The fleet aggregate folds one running accumulator in spec order
+(:class:`~repro.fleet.aggregate.FleetAggregator`);
+:func:`merge_snapshots` is the same fold over a finished sequence.
+For integral values (all counters and histogram counts) the result is
+byte-identical to the old float fold; for fractional sums it is the
+correctly rounded exact sum.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable
 
 from .registry import MetricsSnapshot
 
-__all__ = ["SnapshotAccumulator", "SnapshotMergeTree", "merge_snapshots"]
-
-
-def _to_fraction(value: object) -> Fraction:
-    """Exact rational of one JSON numeric (floats are dyadic — lossless)."""
-    if isinstance(value, str):  # serialised "num/den" state
-        return Fraction(value)
-    return Fraction(value)  # type: ignore[arg-type]
+__all__ = ["SnapshotAccumulator", "merge_snapshots"]
 
 
 def _fraction_state(value: Fraction) -> str:
@@ -90,13 +60,15 @@ class SnapshotAccumulator:
 
     @classmethod
     def from_snapshot(cls, snapshot: MetricsSnapshot) -> "SnapshotAccumulator":
-        """Lift one shard snapshot into an exact single-shard range."""
+        """Lift one shard snapshot into an exact single-shard range.
+
+        Sums may be floats or exact ``"num/den"`` strings, so
+        :meth:`from_state` reuses this.
+        """
         acc = cls()
         acc.n_shards = 1
         for name, series in snapshot.counters.items():
-            acc.counters[name] = {
-                key: _to_fraction(value) for key, value in series.items()
-            }
+            acc.counters[name] = {key: Fraction(value) for key, value in series.items()}
         for name, series in snapshot.gauges.items():
             acc.gauges[name] = {key: float(value) for key, value in series.items()}
         for name, series in snapshot.histograms.items():
@@ -106,7 +78,7 @@ class SnapshotAccumulator:
                 target[key] = {
                     "boundaries": [float(b) for b in data["boundaries"]],
                     "counts": [int(c) for c in data["counts"]],
-                    "sum": _to_fraction(data["sum"]),
+                    "sum": Fraction(data["sum"]),
                     "count": count,
                     "min": float("inf") if data.get("min") is None else float(data["min"]),
                     "max": float("-inf") if data.get("max") is None else float(data["max"]),
@@ -216,121 +188,20 @@ class SnapshotAccumulator:
     @classmethod
     def from_state(cls, state: Dict[str, object]) -> "SnapshotAccumulator":
         """Inverse of :meth:`to_state` (exact by construction)."""
-        acc = cls()
+        acc = cls.from_snapshot(
+            MetricsSnapshot(
+                counters=state.get("counters", {}),
+                gauges=state.get("gauges", {}),
+                histograms=state.get("histograms", {}),
+            )
+        )
         acc.n_shards = int(state.get("n_shards", 0))
-        acc.counters = {
-            name: {key: _to_fraction(value) for key, value in series.items()}
-            for name, series in state.get("counters", {}).items()
-        }
-        acc.gauges = {
-            name: {key: float(value) for key, value in series.items()}
-            for name, series in state.get("gauges", {}).items()
-        }
-        for name, series in state.get("histograms", {}).items():
-            target = acc.histograms.setdefault(name, {})
-            for key, data in series.items():
-                target[key] = {
-                    "boundaries": [float(b) for b in data["boundaries"]],
-                    "counts": [int(c) for c in data["counts"]],
-                    "sum": _to_fraction(data["sum"]),
-                    "count": int(data["count"]),
-                    "min": float("inf") if data.get("min") is None else float(data["min"]),
-                    "max": float("-inf") if data.get("max") is None else float(data["max"]),
-                }
         return acc
 
 
-class SnapshotMergeTree:
-    """Bounded-memory tree reduction over an ordered shard sequence.
-
-    A binomial forest: level ``i`` holds (at most) one accumulator
-    covering an earlier contiguous range of the sequence than every
-    level below it.  Adding shard ``n`` carries up exactly like binary
-    increment, so only ``O(log n)`` partials ever exist — the
-    million-home replacement for the O(1)-but-sequential linear fold,
-    with the same rendered bytes (see the module docstring contract).
-    """
-
-    STATE_FORMAT = 1
-
-    def __init__(self) -> None:
-        #: ``_levels[i]`` covers an older range than ``_levels[j]`` for i > j
-        self._levels: List[Optional[SnapshotAccumulator]] = []
-        self.n_shards = 0
-
-    def add(self, snapshot: MetricsSnapshot) -> None:
-        """Ingest the next shard of the sequence."""
-        self._push(SnapshotAccumulator.from_snapshot(snapshot))
-        self.n_shards += 1
-
-    def absorb(self, other: "SnapshotMergeTree") -> None:
-        """Append another tree covering the *next* shard range.
-
-        The multi-machine step: group trees are absorbed in range
-        order, and the result is exactly the tree of the concatenated
-        sequence (associativity of the exact combine).
-        """
-        if other.n_shards == 0:
-            return
-        self._push(other.collapse())
-        self.n_shards += other.n_shards
-
-    def _push(self, carry: SnapshotAccumulator) -> None:
-        for i in range(len(self._levels)):
-            older = self._levels[i]
-            if older is None:
-                self._levels[i] = carry
-                return
-            self._levels[i] = None
-            carry = older.merge(carry)
-        self._levels.append(carry)
-
-    def collapse(self) -> SnapshotAccumulator:
-        """Exact union of everything ingested so far (non-destructive)."""
-        acc: Optional[SnapshotAccumulator] = None
-        for partial in reversed(self._levels):  # oldest range first
-            if partial is None:
-                continue
-            acc = partial if acc is None else acc.merge(partial)
-        return acc if acc is not None else SnapshotAccumulator()
-
-    def result(self) -> MetricsSnapshot:
-        """Render the merged fleet snapshot (single rounding step)."""
-        return self.collapse().snapshot()
-
-    # -- state round trip --------------------------------------------------------
-
-    def to_state(self) -> Dict[str, object]:
-        """JSON-safe state: the forest levels, exact."""
-        return {
-            "format": self.STATE_FORMAT,
-            "n_shards": self.n_shards,
-            "levels": [
-                None if partial is None else partial.to_state()
-                for partial in self._levels
-            ],
-        }
-
-    @classmethod
-    def from_state(cls, state: Dict[str, object]) -> "SnapshotMergeTree":
-        """Inverse of :meth:`to_state`; resuming mid-stream reproduces
-        the uninterrupted tree bit for bit."""
-        if int(state.get("format", -1)) != cls.STATE_FORMAT:
-            raise ValueError(
-                f"unsupported merge-tree state format {state.get('format')!r}"
-            )
-        tree = cls()
-        tree.n_shards = int(state.get("n_shards", 0))
-        tree._levels = [
-            None if partial is None else SnapshotAccumulator.from_state(partial)
-            for partial in state.get("levels", [])
-        ]
-        return tree
-
-
 def merge_snapshots(snapshots: Iterable[MetricsSnapshot]) -> MetricsSnapshot:
-    """Merge an ordered shard sequence through a tree (convenience form)."""
-    tree = SnapshotMergeTree()
+    """Exact merge of an ordered shard sequence (one final rounding)."""
+    acc = SnapshotAccumulator()
     for snapshot in snapshots:
-        tree.add(snapshot)
-    return tree.result()
+        acc = acc.merge(SnapshotAccumulator.from_snapshot(snapshot))
+    return acc.snapshot()

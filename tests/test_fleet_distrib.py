@@ -20,6 +20,7 @@ one:
 
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -29,9 +30,7 @@ import pytest
 from repro.fleet import (
     DistribCoordinator,
     DistribError,
-    FleetAggregator,
     FleetRunner,
-    HomeResult,
     RangeSpecStream,
     SubmissionMismatch,
     generate_fleet,
@@ -289,51 +288,17 @@ class TestExactMerge:
         with pytest.raises(SubmissionMismatch):
             merge_range_dirs([os.path.join(state_dir, range_dir_name(1))])
 
-    def test_absorb_range_equals_sequential_adds(self, serial_ref, clean_distrib):
-        spec, _ = serial_ref
-        state_dir, coordinator, _ = clean_distrib
-        results = {}
-        for start, stop in coordinator.ranges:
-            raw = read_range_results(
-                os.path.join(state_dir, range_dir_name(coordinator.ranges.index((start, stop)))),
-                start,
-                stop,
-            )
-            results.update({idx: HomeResult.from_dict(raw[idx]) for idx in raw})
-        sequential = FleetAggregator(name=spec.name, seed=spec.seed)
-        for idx in sorted(results):
-            sequential.add(idx, results[idx])
-        ranged = FleetAggregator(name=spec.name, seed=spec.seed)
-        for index, (start, stop) in enumerate(coordinator.ranges):
-            submission = read_snapshot(
-                os.path.join(state_dir, range_dir_name(index), "submit-0001.json")
-            )
-            ranged.absorb_range(
-                start,
-                [results[idx] for idx in range(start, stop)],
-                merge_tree_state=submission["merge_tree"],
-            )
-        assert ranged.report(n_planned=N_HOMES).to_json() == sequential.report(
-            n_planned=N_HOMES
-        ).to_json()
-
-    def test_absorb_range_rejects_shard_mismatch(self, serial_ref, clean_distrib):
-        spec, _ = serial_ref
-        state_dir, coordinator, _ = clean_distrib
-        start, stop = coordinator.ranges[0]
-        raw = read_range_results(
-            os.path.join(state_dir, range_dir_name(0)), start, stop
-        )
-        results = [HomeResult.from_dict(raw[idx]) for idx in range(start, stop)]
-        submission = read_snapshot(
-            os.path.join(state_dir, range_dir_name(1), "submit-0001.json")
-        )
-        # range 1's tree does not cover range 0's ok results
-        agg = FleetAggregator(name=spec.name, seed=spec.seed)
-        with pytest.raises(ValueError):
-            agg.absorb_range(
-                start, results[:-1], merge_tree_state=submission["merge_tree"]
-            )
+    def test_merge_refuses_incomplete_results_log(self, tmp_path, clean_distrib):
+        state_dir, _, _ = clean_distrib
+        copy = str(tmp_path / "state")
+        shutil.copytree(state_dir, copy)
+        journal = os.path.join(copy, range_dir_name(1), "results-0001.journal")
+        first = read_journal(journal).records[0]
+        os.remove(journal)
+        with JournalWriter(journal) as log:
+            log.append(first)
+        with pytest.raises(SubmissionMismatch, match="missing home"):
+            merge_range_dirs([copy])
 
 
 # -- the machine body ------------------------------------------------------------
@@ -377,8 +342,7 @@ class TestRunMachine:
 
         # a second lease epoch replays the journal: no home re-runs
         assert run_machine(self._payload(tmp_path, spec, epoch=2)) == 0
-        second = read_snapshot(os.path.join(range_dir, "submit-0002.json"))
-        assert second["merge_tree"] == first["merge_tree"]
+        assert merge_range_dirs([range_dir]).to_json() == ref
         replay_log = read_journal(os.path.join(range_dir, "results-0002.journal"))
         assert replay_log.records == []  # everything came from epoch 1's journal
 
