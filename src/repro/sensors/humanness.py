@@ -18,10 +18,10 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..features.sensor_features import sensor_features, windows_to_matrix
+from ..features.sensor_features import N_SENSOR_FEATURES, _block_features, sensor_features
 from ..ml.metrics import precision_recall_f1
 from ..ml.tree import DecisionTreeClassifier
-from .motion import MotionKind, synthesize_window
+from .motion import SAMPLE_RATE_HZ, _synthesize_blocks, _window_length
 
 __all__ = ["generate_humanness_dataset", "HumannessValidator"]
 
@@ -40,22 +40,19 @@ def generate_humanness_dataset(
 
     ``ambiguous_fraction`` of the human windows use very low touch
     intensity (a barely-moving phone), producing the borderline samples
-    that keep the validator's recall below 1 — as in the paper.
+    that keep the validator's recall below 1 — as in the paper.  The
+    windows are synthesized and reduced to features in blocks, without
+    building each ``(n, 6)`` window.
     """
-    rng = np.random.default_rng(seed)
-    windows = []
-    labels = []
-    for i in range(n_per_class):
-        ambiguous = (i / max(1, n_per_class)) < ambiguous_fraction
-        intensity = rng.uniform(0.02, 0.12) if ambiguous else rng.uniform(0.5, 1.5)
-        windows.append(
-            synthesize_window(MotionKind.HUMAN, duration_s, intensity=intensity, rng=rng)
-        )
-        labels.append(HUMAN_LABEL)
-    for _ in range(n_per_class):
-        windows.append(synthesize_window(MotionKind.NON_HUMAN, duration_s, rng=rng))
-        labels.append(NON_HUMAN_LABEL)
-    return windows_to_matrix(windows), np.asarray(labels)
+    levels = [
+        (0.02, 0.12) if (i / max(1, n_per_class)) < ambiguous_fraction else (0.5, 1.5)
+        for i in range(n_per_class)
+    ] + [None] * n_per_class
+    X = np.empty((len(levels), N_SENSOR_FEATURES))
+    n = _window_length(duration_s, SAMPLE_RATE_HZ)
+    for start, stack in _synthesize_blocks(levels, n, np.random.default_rng(seed)):
+        X[start : start + len(stack)] = _block_features(stack)
+    return X, np.asarray([HUMAN_LABEL] * n_per_class + [NON_HUMAN_LABEL] * n_per_class)
 
 
 class HumannessValidator:

@@ -11,6 +11,19 @@ from repro.sensors import (
     generate_humanness_dataset,
     synthesize_window,
 )
+from repro.sensors.motion import _WordStream
+from repro.util import spawn_seed
+
+from oracles import scalar_humanness_dataset, scalar_window
+
+
+def entry_generator(seed, has_uint32):
+    """A PCG64 generator whose 32-bit half-word buffer is empty or full."""
+    rng = np.random.default_rng(seed)
+    if has_uint32:
+        rng.integers(0, 7)
+    assert rng.bit_generator.state["has_uint32"] == has_uint32
+    return rng
 
 
 class TestMotionSynthesis:
@@ -45,6 +58,95 @@ class TestMotionSynthesis:
         a = synthesize_window(MotionKind.HUMAN, rng=np.random.default_rng(5))
         b = synthesize_window(MotionKind.HUMAN, rng=np.random.default_rng(5))
         assert np.array_equal(a, b)
+
+
+class TestMatchesScalarOracle:
+    """The block kernel gives the per-window loop's bytes and generator state."""
+
+    @pytest.mark.parametrize("kind", list(MotionKind))
+    @pytest.mark.parametrize("duration_s", [0.001, 0.2, 1.0, 1.2, 2.0])
+    @pytest.mark.parametrize("has_uint32", [0, 1])
+    def test_window(self, kind, duration_s, has_uint32):
+        for seed, intensity in enumerate([0.02, 0.07, 0.5, 1.0, 1.5, 2.0]):
+            expected_rng = entry_generator(seed, has_uint32)
+            rng = entry_generator(seed, has_uint32)
+            expected = scalar_window(kind, duration_s, intensity=intensity, rng=expected_rng)
+            window = synthesize_window(kind, duration_s, intensity=intensity, rng=rng)
+            assert window.shape == expected.shape
+            assert window.tobytes() == expected.tobytes()
+            assert rng.bit_generator.state == expected_rng.bit_generator.state
+
+    @pytest.mark.parametrize("n_per_class", [1, 64, 130, 300])
+    def test_dataset(self, n_per_class):
+        for seed in (0, spawn_seed(7, "validator")):
+            X, y = generate_humanness_dataset(n_per_class=n_per_class, seed=seed)
+            expected_X, expected_y = scalar_humanness_dataset(n_per_class, seed=seed)
+            assert X.tobytes() == expected_X.tobytes()
+            assert np.array_equal(y, expected_y) and y.dtype == expected_y.dtype
+
+
+class TestStreamContract:
+    """Raw-word replay against NumPy's own ``Generator`` algorithms.
+
+    If a NumPy release changes how ``integers`` or ``uniform`` consume a
+    PCG64 stream, these tests name the break.
+    """
+
+    @staticmethod
+    def replay(rng, draw):
+        stream = _WordStream(rng)
+        values = draw(stream)
+        stream.close()
+        return values
+
+    @pytest.mark.parametrize("has_uint32", [0, 1])
+    # (0, 1) is a width-1 range: NumPy returns ``low`` and draws nothing.
+    @pytest.mark.parametrize("low, high", [(0, 1), (1, 5), (10, 40), (0, 210), (0, 3 * 2**30)])
+    def test_integers(self, low, high, has_uint32):
+        expected_rng = entry_generator(3, has_uint32)
+        expected = [int(expected_rng.integers(low, high)) for _ in range(50)]
+        expected += expected_rng.integers(low, high, size=150).tolist()
+        rng = entry_generator(3, has_uint32)
+        values = self.replay(rng, lambda s: [s.integers(low, high) for _ in range(200)])
+        assert values == expected
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
+
+    def test_lemire_rejection_fires(self):
+        # 2**32 % (3 * 2**30) == 2**30: about a quarter of the draws are rejected.
+        rng = np.random.default_rng(0)
+        stream = _WordStream(rng)
+        next64 = stream._next64
+        words = []
+
+        def counted_next64():
+            words.append(next64())
+            return words[-1]
+
+        stream._next64 = counted_next64
+        for _ in range(400):
+            stream.integers(0, 3 * 2**30)
+        assert len(words) > 220  # 200 words without rejection
+
+    @pytest.mark.parametrize("has_uint32", [0, 1])
+    def test_uniform_interleaved_with_integers(self, has_uint32):
+        ops = [(0.02, 0.12), (1, 5), (0.6, 1.4), (10, 40), (10, 40), (0.3, 1.0), (0, 3 * 2**30)] * 30
+        expected_rng = entry_generator(5, has_uint32)
+        expected = [
+            expected_rng.uniform(*op) if isinstance(op[0], float) else int(expected_rng.integers(*op))
+            for op in ops
+        ]
+        rng = entry_generator(5, has_uint32)
+        values = self.replay(
+            rng,
+            lambda s: [s.uniform(*op) if isinstance(op[0], float) else s.integers(*op) for op in ops],
+        )
+        assert values == expected
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
+
+    def test_non_pcg64_generator_rejected(self):
+        rng = np.random.Generator(np.random.MT19937(0))
+        with pytest.raises(TypeError):
+            synthesize_window(MotionKind.HUMAN, rng=rng)
 
 
 class TestHumannessDataset:
