@@ -1,4 +1,4 @@
-"""Rewrite the golden digests in tests/golden/ (ml.json and fleet.json).
+"""Rewrite the golden digests in tests/golden/ (ml.json, fleet.json, classifiers.json).
 
 The golden files pin behaviour across commits, so changing them must be
 deliberate: this tool refuses to run without a reason, and appends that
@@ -59,6 +59,13 @@ def fleet_golden():
     return report_digests(report)
 
 
+def classifiers_golden():
+    """The values ``tests/test_golden_classifiers.py`` pins."""
+    from test_golden_classifiers import classifiers_golden as values
+
+    return values()
+
+
 def write_golden(name, values):
     """Write one golden file; return whether its content changed."""
     path = os.path.join(GOLDEN_DIR, name)
@@ -87,7 +94,11 @@ def main(argv=None):
 
     changed = [
         name
-        for name, values in (("ml.json", ml_golden()), ("fleet.json", fleet_golden()))
+        for name, values in (
+            ("ml.json", ml_golden()),
+            ("fleet.json", fleet_golden()),
+            ("classifiers.json", classifiers_golden()),
+        )
         if write_golden(name, values)
     ]
     outcome = f"changed {', '.join(changed)}" if changed else "no digest changed"
