@@ -108,7 +108,10 @@ class MachineFault:
         ``duration_s`` seconds, then let it keep working as a zombie.
         ``"drop"`` — network partition: the machine keeps working at
         full speed but all its telemetry frames stop reaching the
-        coordinator, permanently.
+        coordinator, permanently.  Its submission reaches the
+        coordinator only after the coordinator has revoked the lease
+        (the machine waits for the revoke record in the ledger), so the
+        late submission is a zombie's however fast the homes ran.
     """
 
     kind: str

@@ -114,6 +114,8 @@ MACHINE_CHANNEL = "machine.jsonl"
 
 #: The coordinator's write-ahead ledger file, under the state dir.
 LEDGER_NAME = "coordinator.journal"
+#: How often a partitioned (``drop``) machine re-reads the ledger for its revoke.
+REVOKE_POLL_S = 0.05
 
 #: The materialised spec copy machines read, under the state dir.
 SPEC_COPY_NAME = "spec.jsonl"
@@ -523,6 +525,18 @@ class _MachineHeartbeat:
         self._writer.close()
 
 
+def _await_revoke(range_dir: str, range_index: int, epoch: int) -> None:
+    """Block until the coordinator ledger beside ``range_dir`` revokes this lease."""
+    ledger_path = os.path.join(os.path.dirname(range_dir), LEDGER_NAME)
+    while not any(
+        record.get("kind") == "revoke"
+        and record.get("range") == range_index
+        and record.get("epoch") == epoch
+        for record in read_journal(ledger_path).records
+    ):
+        time.sleep(REVOKE_POLL_S)
+
+
 def run_machine(payload: Dict[str, object]) -> int:
     """Execute one range lease: the body of a machine subprocess.
 
@@ -614,6 +628,10 @@ def run_machine(payload: Dict[str, object]) -> int:
             )
             runner_box[0] = runner
             runner.run()
+        if dropped:
+            # The partition heals only once the coordinator has given up on
+            # this lease, so the late submission is always a zombie's.
+            _await_revoke(range_dir, range_index, epoch)
         submission = {
             "format": SUBMIT_FORMAT,
             "range_index": range_index,

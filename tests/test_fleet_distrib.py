@@ -57,8 +57,25 @@ from repro.recovery.journal import JournalWriter, read_journal
 from repro.recovery.snapshot import read_snapshot
 
 N_HOMES = 4
-#: homes in the partitioned-machine test (see the test for why so many)
-ZOMBIE_HOMES = 32
+#: homes in the partitioned-machine tests
+ZOMBIE_HOMES = 6
+
+#: A stand-in for the machine interpreter whose homes take ~1 ms: it
+#: patches ``run_home`` to return recorded results, then runs the module
+#: the coordinator asked for (``<stub> -m repro.fleet.distrib <payload>``).
+STUB_MACHINE = """#!{python}
+import json, runpy, sys, time
+import repro.fleet.runner as runner
+from repro.fleet.worker import HomeResult
+with open({results!r}) as handle:
+    RESULTS = json.load(handle)
+def run_home(spec, state_root=None):
+    time.sleep(0.001)
+    return HomeResult.from_dict(RESULTS[spec.home_id])
+runner.run_home = run_home
+sys.argv = sys.argv[2:]
+runpy.run_module(sys.argv[0], run_name="__main__", alter_sys=True)
+"""
 
 
 def _spec(n=N_HOMES, seed=0):
@@ -364,13 +381,16 @@ class TestCoordinatorFaults:
         assert coordinator.stats["re_leases"] >= 1
         assert coordinator.stats["leases_granted"] >= 3
 
-    def test_drop_fault_zombie_submission_rejected(self, tmp_path):
-        # The zombie must still be working when its 2 s lease runs out and
-        # must submit before a successor can: ~31 homes at ~0.2 s each
-        # outlast the lease, and the successor lease waits ~7 s (seeded
-        # backoff) before it starts.
+    @staticmethod
+    def _zombie_run(tmp_path, python=None):
+        # The zombie runs its homes in the dark and holds its submission until
+        # the coordinator has revoked its 2 s lease; the successor lease waits
+        # ~7 s (seeded backoff), so the zombie always submits first.
         spec = _spec(ZOMBIE_HOMES)
-        ref = FleetRunner(spec, jobs=1).run().to_json()
+        results = {}
+        ref = FleetRunner(
+            spec, jobs=1, on_result=lambda idx, r: results.__setitem__(spec.homes[idx].home_id, r)
+        ).run().to_json()
         coordinator = DistribCoordinator(
             spec,
             state_dir=str(tmp_path / "state"),
@@ -379,7 +399,12 @@ class TestCoordinatorFaults:
             lease_backoff_base_s=5.0,
             lease_backoff_max_s=5.0,
             machine_faults=[MachineFault("drop", 0, after_homes=1)],
+            python=python(results) if python else None,
         )
+        return coordinator, ref
+
+    def test_drop_fault_zombie_submission_rejected(self, tmp_path):
+        coordinator, ref = self._zombie_run(tmp_path)
         report = coordinator.run()
         assert report.to_json() == ref
         assert coordinator.stats["re_leases"] >= 1
@@ -387,6 +412,26 @@ class TestCoordinatorFaults:
         # its revoked-epoch submission was counted, never folded
         assert coordinator.stats["rejected_submissions"] >= 1
         assert coordinator.stats["ranges_folded"] == 1
+
+    def test_drop_fault_with_instant_homes(self, tmp_path):
+        # Homes of ~1 ms finish long before the lease can expire: the zombie
+        # must still wait for its revoke instead of submitting inside the lease.
+        def stub_python(results):
+            results_path = tmp_path / "results.json"
+            results_path.write_text(json.dumps({k: r.to_dict() for k, r in results.items()}))
+            script = tmp_path / "machine-python"
+            script.write_text(STUB_MACHINE.format(python=sys.executable, results=str(results_path)))
+            script.chmod(0o755)
+            return str(script)
+
+        coordinator, ref = self._zombie_run(tmp_path, python=stub_python)
+        report = coordinator.run()
+        assert report.to_json() == ref
+        assert coordinator.stats["re_leases"] >= 1
+        assert coordinator.stats["rejected_submissions"] >= 1
+        assert coordinator.stats["ranges_folded"] == 1
+        zombie_log = (tmp_path / "state" / range_dir_name(0) / "machine-0001.log").read_text()
+        assert "Traceback" not in zombie_log
 
     def test_exhausted_leases_fail_closed(self, tmp_path, serial_ref):
         spec, _ = serial_ref
