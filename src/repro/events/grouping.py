@@ -25,6 +25,14 @@ __all__ = ["UnpredictableEvent", "group_events", "EVENT_GAP_SECONDS"]
 #: Default event gap threshold, seconds (paper §3.2).
 EVENT_GAP_SECONDS = 5.0
 
+#: Tie-break order of :meth:`UnpredictableEvent.majority_class`.
+_MOST_MANUAL_FIRST = (
+    TrafficClass.ATTACK,
+    TrafficClass.MANUAL,
+    TrafficClass.AUTOMATED,
+    TrafficClass.CONTROL,
+)
+
 
 @dataclass
 class UnpredictableEvent:
@@ -70,16 +78,8 @@ class UnpredictableEvent:
         single human-caused packet makes the whole event user-visible —
         the same convention the testbed labelling uses.
         """
-        counts: Dict[TrafficClass, int] = {}
-        for packet in self.packets:
-            counts[packet.traffic_class] = counts.get(packet.traffic_class, 0) + 1
-        priority = {
-            TrafficClass.ATTACK: 3,
-            TrafficClass.MANUAL: 2,
-            TrafficClass.AUTOMATED: 1,
-            TrafficClass.CONTROL: 0,
-        }
-        return max(counts, key=lambda c: (counts[c], priority[c]))
+        classes = [packet.traffic_class for packet in self.packets]
+        return max((cls for cls in _MOST_MANUAL_FIRST if cls in classes), key=classes.count)
 
     @property
     def is_manual(self) -> bool:

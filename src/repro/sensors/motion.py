@@ -23,6 +23,7 @@ from typing import Iterator, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..features.sensor_features import BLOCK_WINDOWS
+from ..rng import WordStream
 
 __all__ = ["MotionKind", "SAMPLE_RATE_HZ", "GRAVITY", "synthesize_window"]
 
@@ -58,74 +59,12 @@ _NOISE_SCALE = np.array([0.02, 0.005])[None, :, None, None]
 _Level = Union[None, float, Tuple[float, float]]
 
 
-class _WordStream:
-    """Bounded integers and uniforms of a PCG64 ``Generator``, replayed from raw words.
-
-    Each method returns what the ``Generator`` call it names would return
-    and consumes the same 64-bit words.  It copies NumPy's algorithms:
-
-    * ``uniform(low, high)`` is ``low + (high - low) * ((word >> 11) * 2**-53)``;
-    * ``integers(low, high)`` is Lemire's multiply with rejection on a
-      32-bit draw, and draws nothing when ``high - low == 1``;
-    * a 32-bit draw takes the low half of a fresh word and keeps the high
-      half for the next one (PCG64's ``has_uint32``/``uinteger`` buffer).
-
-    The buffer is read from ``bit_generator.state`` here and written back
-    by :meth:`close`.  Normals are not replayed: the ziggurat consumes a
-    variable number of words, so they stay ``Generator`` calls, and they
-    never touch the buffer.
-    """
-
-    def __init__(self, rng: np.random.Generator) -> None:
-        bit_generator = rng.bit_generator
-        if not isinstance(bit_generator, np.random.PCG64):
-            raise TypeError(
-                f"sensor synthesis needs a PCG64 Generator, got {type(bit_generator).__name__}"
-            )
-        self._bit_generator = bit_generator
-        self._next64 = bit_generator.random_raw
-        state = bit_generator.state
-        self._has_uint32 = state["has_uint32"]
-        self._uinteger = state["uinteger"]
-
-    def uniform(self, low: float, high: float) -> float:
-        return low + (high - low) * ((self._next64() >> 11) * 2.0**-53)
-
-    def _next32(self) -> int:
-        if self._has_uint32:
-            self._has_uint32 = 0
-            return self._uinteger
-        word = self._next64()
-        self._has_uint32 = 1
-        self._uinteger = word >> 32
-        return word & 0xFFFFFFFF
-
-    def integers(self, low: int, high: int) -> int:
-        """``integers(low, high)`` for ``high - low`` below ``2**32``."""
-        span = high - low
-        if span == 1:
-            return low
-        m = self._next32() * span
-        if (m & 0xFFFFFFFF) < span:
-            threshold = 2**32 % span
-            while (m & 0xFFFFFFFF) < threshold:
-                m = self._next32() * span
-        return low + (m >> 32)
-
-    def close(self) -> None:
-        """Write the 32-bit buffer back into the generator's state."""
-        state = self._bit_generator.state
-        state["has_uint32"] = self._has_uint32
-        state["uinteger"] = self._uinteger
-        self._bit_generator.state = state
-
-
 def _window_length(duration_s: float, rate_hz: int) -> int:
     return max(8, int(round(duration_s * rate_hz)))
 
 
 def _synthesize_block(
-    levels: Sequence[_Level], n: int, rng: np.random.Generator, stream: _WordStream
+    levels: Sequence[_Level], n: int, rng: np.random.Generator, stream: WordStream
 ) -> np.ndarray:
     """Windows of ``n`` samples stacked as ``(len(levels), 6, n)``.
 
@@ -209,7 +148,7 @@ def _synthesize_blocks(
 
     ``rng`` ends in the same state as after drawing the windows one by one.
     """
-    stream = _WordStream(rng)
+    stream = WordStream(rng)
     try:
         for start in range(0, len(levels), BLOCK_WINDOWS):
             yield start, _synthesize_block(levels[start : start + BLOCK_WINDOWS], n, rng, stream)

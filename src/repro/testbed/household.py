@@ -26,6 +26,7 @@ from ..events.grouping import UnpredictableEvent
 from ..events.labeling import GroundTruthLog, InteractionWindow, RoutineFiring
 from ..net.packet import TCP_ACK, TCP_PSH, TLS_1_2, TLS_NONE, Direction, Packet, TrafficClass
 from ..net.trace import Trace
+from ..rng import WordStream
 from ..util import spawn_seed
 from .cloud import CloudDirectory, Endpoint, Location
 from .devices import (
@@ -195,59 +196,72 @@ def render_event(
     additionally carries the template's distinctive attributes: a fixed
     notification size for rule-based devices, and the UDP opener for the
     WyzeCam.  ``endpoints`` must contain the template's two services.
+
+    ``rng`` must be a PCG64 ``Generator``.  The per-packet uniforms are
+    replayed from its raw words (:class:`~repro.rng.WordStream`); the
+    values, and the generator's state afterwards, are those of one
+    ``Generator`` call per draw.
     """
     n = int(rng.integers(template.n_packets[0], template.n_packets[1] + 1))
     local_port = _event_local_port(template.service_high, rng)
-    # one load-balanced address per (event, service) connection
-    event_ips = {service: ep.pick_ip(rng) for service, ep in endpoints.items()}
+    # One load-balanced address per (event, service) connection, giving
+    # each (service, inbound) pair its (src_ip, dst_ip, src_port, dst_port).
+    ends = {}
+    for service, endpoint in endpoints.items():
+        remote = endpoint.pick_ip(rng)
+        ends[service, False] = (device_ip, remote, local_port, endpoint.port)
+        ends[service, True] = (remote, device_ip, endpoint.port, local_port)
+    # The bounded integers above stay Generator calls, so the stream never
+    # touches PCG64's 32-bit buffer; it replays the per-packet uniforms
+    # from raw words.  Sizes stay Generator normals.
+    words = WordStream(rng)
+    random = words.random
+    device = profile.name
     packets: List[Packet] = []
     t = start
     for i in range(n):
         service = (
-            template.service_high
-            if rng.random() < template.port_high_prob
-            else template.service_low
+            template.service_high if random() < template.port_high_prob else template.service_low
         )
-        endpoint = endpoints[service]
         if i == 0:
-            inbound = rng.random() < template.first_inbound_prob
-            udp = rng.random() < template.first_udp_prob
-            protocol = "udp" if udp else ("tcp" if rng.random() < template.tcp_prob else "udp")
+            inbound = random() < template.first_inbound_prob
+            udp = random() < template.first_udp_prob
+            tcp = not udp and random() < template.tcp_prob
         else:
-            inbound = rng.random() < template.inbound_prob
-            protocol = "tcp" if rng.random() < template.tcp_prob else "udp"
-        if protocol == "tcp":
-            tls = TLS_1_2 if rng.random() < template.tls_prob else TLS_NONE
-            flags = TCP_PSH | TCP_ACK if rng.random() < template.psh_prob else TCP_ACK
+            inbound = random() < template.inbound_prob
+            tcp = random() < template.tcp_prob
+        if tcp:
+            tls = TLS_1_2 if random() < template.tls_prob else TLS_NONE
+            flags = TCP_PSH | TCP_ACK if random() < template.psh_prob else TCP_ACK
         else:
             tls = TLS_NONE
             flags = 0
         if i == 0 and template.first_size is not None:
             size = template.first_size
         else:
-            mode = template.size_big if rng.random() < template.size_big_prob else template.size_small
+            mode = template.size_big if random() < template.size_big_prob else template.size_small
             size = max(60, int(rng.normal(*mode)))
+        src_ip, dst_ip, src_port, dst_port = ends[service, inbound]
         packets.append(
-            _make_packet(
+            Packet(
                 timestamp=t,
                 size=size,
+                src_ip=src_ip,
+                dst_ip=dst_ip,
+                src_port=src_port,
+                dst_port=dst_port,
+                protocol="tcp" if tcp else "udp",
                 direction=Direction.INBOUND if inbound else Direction.OUTBOUND,
-                device=profile.name,
-                device_ip=device_ip,
-                endpoint=endpoint,
-                local_port=local_port,
-                protocol=protocol,
-                tls=tls,
-                flags=flags,
+                device=device,
+                tcp_flags=flags,
+                tls_version=tls,
                 traffic_class=traffic_class,
                 event_id=event_id,
-                remote_ip=event_ips[service],
             )
         )
-        if rng.random() < template.iat_fast_prob:
-            t += float(rng.uniform(*template.iat_fast))
-        else:
-            t += float(rng.uniform(*template.iat_slow))
+        iat = template.iat_fast if random() < template.iat_fast_prob else template.iat_slow
+        t += words.uniform(*iat)
+    words.close()
     return packets
 
 

@@ -1,18 +1,21 @@
 """Scalar reference implementations that the vectorized library code must match.
 
-These are the straightforward per-cut, per-window and per-touch loops the
-library used before it was vectorized.  They are kept here, outside the package,
-only as test oracles: property tests assert that the library reproduces
-them bit for bit.
+These are the straightforward per-cut, per-window, per-touch, per-draw and
+per-event loops the library used before it was vectorized.
+They are kept here, outside the package, only as test oracles: property
+tests assert that the library reproduces them bit for bit.
 """
 
 from typing import List
 
 import numpy as np
 
-from repro.features import AXIS_STATS, windows_to_matrix
-from repro.sensors.motion import GRAVITY, SAMPLE_RATE_HZ, MotionKind
+from repro.events.grouping import UnpredictableEvent
+from repro.features import AXIS_STATS, FIRST_N_PACKETS, windows_to_matrix
 from repro.ml.tree import DecisionTreeClassifier, _gini, _midpoint
+from repro.net.packet import TCP_ACK, TCP_PSH, TLS_1_2, TLS_NONE, Direction, Packet
+from repro.sensors.motion import GRAVITY, SAMPLE_RATE_HZ, MotionKind
+from repro.testbed.household import _event_local_port, _make_packet
 
 
 class ScalarSplitTree(DecisionTreeClassifier):
@@ -167,3 +170,135 @@ def scalar_humanness_dataset(
         windows.append(scalar_window(MotionKind.NON_HUMAN, duration_s, rng=rng))
         labels.append("non_human")
     return windows_to_matrix(windows), np.asarray(labels)
+
+
+def _ip_octets(ip: str) -> List[float]:
+    parts = ip.split(".")
+    if len(parts) != 4:
+        return [0.0, 0.0, 0.0, 0.0]
+    try:
+        return [float(int(p)) for p in parts]
+    except ValueError:
+        return [0.0, 0.0, 0.0, 0.0]
+
+
+def packet_row(packet: Packet) -> List[float]:
+    """The 11 per-packet features of one packet."""
+    return [
+        1.0 if packet.direction is Direction.OUTBOUND else 0.0,
+        1.0 if packet.protocol == "tcp" else 0.0,
+        float(packet.tcp_flags),
+        float(packet.tls_version),
+        float(packet.size),
+        float(packet.src_port),
+        float(packet.dst_port),
+        *_ip_octets(packet.remote_ip),
+    ]
+
+
+def scalar_event_features(event: UnpredictableEvent, n: int = FIRST_N_PACKETS) -> np.ndarray:
+    """The feature vector of one event, one packet and one statistic at a time."""
+    if len(event) == 0:
+        raise ValueError("cannot featurise an empty event")
+    head = event.first_n(n)
+    row: List[float] = []
+    for i in range(n):
+        if i < len(head):
+            row.extend(packet_row(head[i]))
+        else:
+            row.extend([0.0] * 11)
+    timestamps = np.array([p.timestamp for p in head])
+    iats = np.diff(timestamps)
+    for i in range(n - 1):
+        row.append(float(iats[i]) if i < len(iats) else 0.0)
+    sizes = np.array([float(p.size) for p in head])
+    row.extend(
+        [
+            float(len(head)),
+            float(sizes.sum()),
+            float(sizes.mean()),
+            float(sizes.std()),
+            float(iats.mean()) if len(iats) else 0.0,
+            float(iats.std()) if len(iats) else 0.0,
+            float(timestamps[-1] - timestamps[0]),
+        ]
+    )
+    return np.asarray(row, dtype=float)
+
+
+def scalar_events_to_matrix(events, n: int = FIRST_N_PACKETS) -> np.ndarray:
+    """``events_to_matrix`` as a stack of :func:`scalar_event_features` rows."""
+    return np.vstack([scalar_event_features(event, n) for event in events])
+
+
+def scalar_event_sequences(events, n: int = FIRST_N_PACKETS) -> List[np.ndarray]:
+    """``event_sequences`` built packet by packet."""
+    sequences = []
+    for event in events:
+        rows = []
+        previous_time = None
+        for packet in event.first_n(n):
+            iat = 0.0 if previous_time is None else packet.timestamp - previous_time
+            previous_time = packet.timestamp
+            rows.append(packet_row(packet) + [iat])
+        sequences.append(np.asarray(rows, dtype=float))
+    return sequences
+
+
+def scalar_render_event(
+    profile, template, start, traffic_class, device_ip, endpoints, rng, event_id=None
+) -> List[Packet]:
+    """``render_event`` with one ``Generator`` call per draw."""
+    n = int(rng.integers(template.n_packets[0], template.n_packets[1] + 1))
+    local_port = _event_local_port(template.service_high, rng)
+    event_ips = {service: ep.pick_ip(rng) for service, ep in endpoints.items()}
+    packets: List[Packet] = []
+    t = start
+    for i in range(n):
+        service = (
+            template.service_high
+            if rng.random() < template.port_high_prob
+            else template.service_low
+        )
+        endpoint = endpoints[service]
+        if i == 0:
+            inbound = rng.random() < template.first_inbound_prob
+            udp = rng.random() < template.first_udp_prob
+            protocol = "udp" if udp else ("tcp" if rng.random() < template.tcp_prob else "udp")
+        else:
+            inbound = rng.random() < template.inbound_prob
+            protocol = "tcp" if rng.random() < template.tcp_prob else "udp"
+        if protocol == "tcp":
+            tls = TLS_1_2 if rng.random() < template.tls_prob else TLS_NONE
+            flags = TCP_PSH | TCP_ACK if rng.random() < template.psh_prob else TCP_ACK
+        else:
+            tls = TLS_NONE
+            flags = 0
+        if i == 0 and template.first_size is not None:
+            size = template.first_size
+        else:
+            mode = template.size_big if rng.random() < template.size_big_prob else template.size_small
+            size = max(60, int(rng.normal(*mode)))
+        packets.append(
+            _make_packet(
+                timestamp=t,
+                size=size,
+                direction=Direction.INBOUND if inbound else Direction.OUTBOUND,
+                device=profile.name,
+                device_ip=device_ip,
+                endpoint=endpoint,
+                local_port=local_port,
+                protocol=protocol,
+                tls=tls,
+                flags=flags,
+                traffic_class=traffic_class,
+                event_id=event_id,
+                remote_ip=event_ips[service],
+            )
+        )
+        if rng.random() < template.iat_fast_prob:
+            t += float(rng.uniform(*template.iat_fast))
+        else:
+            t += float(rng.uniform(*template.iat_slow))
+    return packets
+

@@ -11,7 +11,7 @@ from repro.sensors import (
     generate_humanness_dataset,
     synthesize_window,
 )
-from repro.sensors.motion import _WordStream
+from repro.rng import WordStream
 from repro.util import spawn_seed
 
 from oracles import scalar_humanness_dataset, scalar_window
@@ -94,7 +94,7 @@ class TestStreamContract:
 
     @staticmethod
     def replay(rng, draw):
-        stream = _WordStream(rng)
+        stream = WordStream(rng)
         values = draw(stream)
         stream.close()
         return values
@@ -114,7 +114,7 @@ class TestStreamContract:
     def test_lemire_rejection_fires(self):
         # 2**32 % (3 * 2**30) == 2**30: about a quarter of the draws are rejected.
         rng = np.random.default_rng(0)
-        stream = _WordStream(rng)
+        stream = WordStream(rng)
         next64 = stream._next64
         words = []
 
@@ -143,10 +143,63 @@ class TestStreamContract:
         assert values == expected
         assert rng.bit_generator.state == expected_rng.bit_generator.state
 
+    @pytest.mark.parametrize("has_uint32", [0, 1])
+    def test_random(self, has_uint32):
+        expected_rng = entry_generator(9, has_uint32)
+        expected = [expected_rng.random() for _ in range(200)]
+        rng = entry_generator(9, has_uint32)
+        values = self.replay(rng, lambda s: [s.random() for _ in range(200)])
+        assert values == expected
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
+
+    @pytest.mark.parametrize("has_uint32", [0, 1])
+    def test_random_and_uniform_interleaved_with_integers(self, has_uint32):
+        ops = [None, (0.05, 0.25), (2, 8), None, (0.6, 3.0), (0, 16), (-0.02, 0.02), (0, 24)] * 30
+        expected_rng = entry_generator(11, has_uint32)
+        expected = [
+            expected_rng.random()
+            if op is None
+            else expected_rng.uniform(*op)
+            if isinstance(op[0], float)
+            else int(expected_rng.integers(*op))
+            for op in ops
+        ]
+        rng = entry_generator(11, has_uint32)
+        values = self.replay(
+            rng,
+            lambda s: [
+                s.random() if op is None else s.uniform(*op) if isinstance(op[0], float) else s.integers(*op)
+                for op in ops
+            ],
+        )
+        assert values == expected
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
+
+    @pytest.mark.parametrize("has_uint32", [0, 1])
+    def test_uniforms_leave_the_buffer_to_direct_calls(self, has_uint32):
+        # A stream that replays no bounded integer never reads or writes the
+        # 32-bit buffer, so direct Generator calls may interleave with it.
+        expected_rng = entry_generator(13, has_uint32)
+        expected = []
+        for _ in range(40):
+            expected += [expected_rng.random(), int(expected_rng.integers(0, 16)),
+                         expected_rng.uniform(0.6, 3.0), expected_rng.normal(900.0, 90.0)]
+        rng = entry_generator(13, has_uint32)
+        stream = WordStream(rng)
+        values = []
+        for _ in range(40):
+            values += [stream.random(), int(rng.integers(0, 16)),
+                       stream.uniform(0.6, 3.0), rng.normal(900.0, 90.0)]
+        stream.close()
+        assert values == expected
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
+
     def test_non_pcg64_generator_rejected(self):
         rng = np.random.Generator(np.random.MT19937(0))
         with pytest.raises(TypeError):
             synthesize_window(MotionKind.HUMAN, rng=rng)
+        with pytest.raises(TypeError):
+            WordStream(rng)
 
 
 class TestHumannessDataset:
