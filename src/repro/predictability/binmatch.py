@@ -12,11 +12,8 @@ evaluated element-wise, and per-bucket predecessor chains recovered with
 a stable argsort so within-bucket order matches the trace order
 exactly.
 
-Buckets and bins are packed into a single int64 *pair code*
-``kid * PAIR_SHIFT + bin`` for sorted-array counting
-(``np.searchsorted``).  Callers must guard with :func:`codes_safe` and
-fall back to the scalar path for pathological bins (an IAT of weeks at a
-micro-second resolution); real traffic never gets close.
+Repeated bins are counted over (bucket id, bin) pairs sorted as two
+columns, so any bin value works, however large.
 """
 
 from __future__ import annotations
@@ -30,19 +27,11 @@ from ..net.flows import FlowDefinition, flow_key
 from ..net.packet import Direction, Packet
 
 __all__ = [
-    "PAIR_SHIFT",
     "KeyInterner",
     "quantize_iat_array",
     "chain_prev",
-    "codes_safe",
-    "pair_codes",
     "neighbor_counts",
 ]
-
-#: Bins per bucket id in the packed pair code.  2**21 bins covers IATs of
-#: ~6 days at the default 0.25 s resolution; anything beyond trips
-#: :func:`codes_safe` and the caller's scalar fallback.
-PAIR_SHIFT = 1 << 21
 
 
 class KeyInterner:
@@ -155,44 +144,39 @@ def chain_prev(kids: np.ndarray, timestamps: np.ndarray) -> Tuple[np.ndarray, np
     return prev_index, prev_ts
 
 
-def codes_safe(kids: np.ndarray, bins: np.ndarray, neighbor_bins: int) -> bool:
-    """Whether (kid, bin) pairs pack into int64 codes without collision."""
-    if len(bins) == 0:
-        return True
-    max_bin = int(bins.max())
-    if max_bin >= PAIR_SHIFT - neighbor_bins:
-        return False
-    max_kid = int(kids.max()) if len(kids) else 0
-    return max_kid < (2**62) // PAIR_SHIFT
+def neighbor_counts(kids: np.ndarray, bins: np.ndarray, neighbor_bins: int) -> np.ndarray:
+    """Per (kid, bin) pair: occurrences of any bin within ±``neighbor_bins`` in its bucket.
 
-
-def pair_codes(kids: np.ndarray, bins: np.ndarray) -> np.ndarray:
-    """Pack (bucket id, bin) pairs into sortable int64 codes."""
-    return kids * PAIR_SHIFT + bins
-
-
-def neighbor_counts(
-    uniq_codes: np.ndarray,
-    counts: np.ndarray,
-    kids: np.ndarray,
-    bins: np.ndarray,
-    neighbor_bins: int,
-) -> np.ndarray:
-    """Summed occurrence counts over the ±``neighbor_bins`` window.
-
-    ``uniq_codes``/``counts`` come from ``np.unique(..., return_counts)``
-    over the trace's pair codes; the result is, per queried (kid, bin),
-    the total number of occurrences of any neighbouring bin in the same
-    bucket — the quantity the offline labelling pass thresholds at 2.
+    The quantity the offline labelling pass thresholds at 2.  Pairs are
+    sorted by (kid, bin) with ``np.lexsort``, so no packed code can
+    overflow.  Two distinct bins at most ``neighbor_bins`` apart in one
+    bucket sit at most ``neighbor_bins`` places apart among the sorted
+    distinct pairs, so each offset ``d`` is one vectorized comparison.
     """
-    base = pair_codes(kids, bins)
-    total = np.zeros(len(base), dtype=np.int64)
-    if len(uniq_codes) == 0:
-        return total
-    for delta in range(-neighbor_bins, neighbor_bins + 1):
-        targets = base + delta
-        pos = np.searchsorted(uniq_codes, targets)
-        pos_clipped = np.minimum(pos, len(uniq_codes) - 1)
-        present = (pos < len(uniq_codes)) & (uniq_codes[pos_clipped] == targets)
-        total += np.where(present, counts[pos_clipped], 0)
-    return total
+    kids = np.asarray(kids, dtype=np.int64)
+    bins = np.asarray(bins, dtype=np.int64)
+    n = len(kids)
+    if n == 0 or neighbor_bins < 0:
+        return np.zeros(n, dtype=np.int64)
+    order = np.lexsort((bins, kids))
+    sorted_kids = kids[order]
+    sorted_bins = bins[order]
+    starts = np.empty(n, dtype=bool)
+    starts[0] = True
+    starts[1:] = (sorted_kids[1:] != sorted_kids[:-1]) | (sorted_bins[1:] != sorted_bins[:-1])
+    group = np.cumsum(starts) - 1
+    unique_kids = sorted_kids[starts]
+    unique_bins = sorted_bins[starts]
+    counts = np.bincount(group)
+    totals = counts.copy()
+    for d in range(1, neighbor_bins + 1):
+        # The uint64 difference is exact for sorted bins of any sign.
+        near = (unique_kids[d:] == unique_kids[:-d]) & (
+            unique_bins[d:].view(np.uint64) - unique_bins[:-d].view(np.uint64)
+            <= np.uint64(neighbor_bins)
+        )
+        totals[d:] += np.where(near, counts[:-d], 0)
+        totals[:-d] += np.where(near, counts[d:], 0)
+    result = np.empty(n, dtype=np.int64)
+    result[order] = totals[group]
+    return result

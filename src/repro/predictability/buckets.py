@@ -41,14 +41,7 @@ from ..net.flows import FlowDefinition, decode_flow_key, encode_flow_key, flow_k
 from ..net.packet import Packet
 from ..net.trace import Trace
 from ..obs import NULL_OBS, Observability
-from .binmatch import (
-    KeyInterner,
-    chain_prev,
-    codes_safe,
-    neighbor_counts,
-    pair_codes,
-    quantize_iat_array,
-)
+from .binmatch import KeyInterner, chain_prev, neighbor_counts, quantize_iat_array
 
 __all__ = ["BucketPredictor", "label_predictable", "quantize_iat"]
 
@@ -320,8 +313,7 @@ def label_predictable(
     from the start.
 
     Runs on the vectorized primitives of :mod:`repro.predictability.binmatch`
-    (one NumPy pass over the whole trace); pathological bin ranges fall
-    back to the scalar reference implementation.
+    (one NumPy pass over the whole trace).
     """
     dns = dns if dns is not None else trace.dns
     n = len(trace)
@@ -336,15 +328,7 @@ def label_predictable(
     prev_index, prev_ts = chain_prev(kids, timestamps)
     has_prev = prev_index >= 0
     bins = quantize_iat_array(timestamps - prev_ts, resolution)
-    if not codes_safe(kids[has_prev], bins[has_prev], neighbor_bins):
-        return _label_predictable_scalar(trace, definition, dns, resolution, neighbor_bins)
-
-    codes = pair_codes(kids[has_prev], bins[has_prev])
-    uniq_codes, counts = np.unique(codes, return_counts=True)
-    repeated = (
-        neighbor_counts(uniq_codes, counts, kids[has_prev], bins[has_prev], neighbor_bins)
-        >= 2
-    )
+    repeated = neighbor_counts(kids[has_prev], bins[has_prev], neighbor_bins) >= 2
 
     labels = np.zeros(n, dtype=bool)
     marked = np.nonzero(has_prev)[0][repeated]
@@ -352,44 +336,3 @@ def label_predictable(
     # The predecessor packet participates in the same repeated IAT pair.
     labels[prev_index[marked]] = True
     return labels.tolist()
-
-
-def _label_predictable_scalar(
-    trace: Trace,
-    definition: FlowDefinition,
-    dns: Optional[DnsTable],
-    resolution: float,
-    neighbor_bins: int,
-) -> List[bool]:
-    """Scalar reference for :func:`label_predictable` (and its fallback)."""
-    labels = [False] * len(trace)
-
-    # First pass: compute IAT bins per bucket, remembering each packet's
-    # within-bucket predecessor (only repeated-bin packets need it).
-    last_seen: Dict[Tuple[Hashable, ...], Tuple[int, float]] = {}
-    packet_bin: Dict[int, Tuple[Tuple[Hashable, ...], int, int]] = {}
-    bin_counts: Dict[Tuple[Hashable, ...], Dict[int, int]] = defaultdict(dict)
-
-    for index, packet in enumerate(trace):
-        key = flow_key(packet, definition, dns)
-        previous = last_seen.get(key)
-        if previous is not None:
-            prev_index, prev_time = previous
-            iat_bin = quantize_iat(packet.timestamp - prev_time, resolution)
-            packet_bin[index] = (key, iat_bin, prev_index)
-            counts = bin_counts[key]
-            counts[iat_bin] = counts.get(iat_bin, 0) + 1
-        last_seen[key] = (index, packet.timestamp)
-
-    # Second pass: a bin is "repeated" when, considering neighbour bins,
-    # it was computed at least twice in its bucket.
-    for index, (key, iat_bin, prev_index) in packet_bin.items():
-        counts = bin_counts[key]
-        total = 0
-        for delta in range(-neighbor_bins, neighbor_bins + 1):
-            total += counts.get(iat_bin + delta, 0)
-        if total >= 2:
-            labels[index] = True
-            labels[prev_index] = True
-
-    return labels

@@ -1,19 +1,23 @@
 """Scalar reference implementations that the vectorized library code must match.
 
-These are the straightforward per-cut, per-window, per-touch, per-draw and
-per-event loops the library used before it was vectorized.
+These are the straightforward per-cut, per-window, per-touch, per-draw,
+per-event and per-bucket loops the library used before it was vectorized.
 They are kept here, outside the package, only as test oracles: property
 tests assert that the library reproduces them bit for bit.
 """
 
-from typing import List
+from collections import defaultdict
+from typing import Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.events.grouping import UnpredictableEvent
 from repro.features import AXIS_STATS, FIRST_N_PACKETS, windows_to_matrix
 from repro.ml.tree import DecisionTreeClassifier, _gini, _midpoint
+from repro.net import DnsTable, FlowDefinition, Trace
+from repro.net.flows import flow_key
 from repro.net.packet import TCP_ACK, TCP_PSH, TLS_1_2, TLS_NONE, Direction, Packet
+from repro.predictability.buckets import DEFAULT_RESOLUTION, quantize_iat
 from repro.sensors.motion import GRAVITY, SAMPLE_RATE_HZ, MotionKind
 from repro.testbed.household import _event_local_port, _make_packet
 
@@ -302,3 +306,44 @@ def scalar_render_event(
             t += float(rng.uniform(*template.iat_slow))
     return packets
 
+
+def scalar_label_predictable(
+    trace: Trace,
+    definition: FlowDefinition = FlowDefinition.PORTLESS,
+    dns: Optional[DnsTable] = None,
+    resolution: float = DEFAULT_RESOLUTION,
+    neighbor_bins: int = 1,
+) -> List[bool]:
+    """``label_predictable`` with per-bucket dicts of IAT-bin counts."""
+    dns = dns if dns is not None else trace.dns
+    labels = [False] * len(trace)
+
+    # First pass: compute IAT bins per bucket, remembering each packet's
+    # within-bucket predecessor (only repeated-bin packets need it).
+    last_seen: Dict[Tuple[Hashable, ...], Tuple[int, float]] = {}
+    packet_bin: Dict[int, Tuple[Tuple[Hashable, ...], int, int]] = {}
+    bin_counts: Dict[Tuple[Hashable, ...], Dict[int, int]] = defaultdict(dict)
+
+    for index, packet in enumerate(trace):
+        key = flow_key(packet, definition, dns)
+        previous = last_seen.get(key)
+        if previous is not None:
+            prev_index, prev_time = previous
+            iat_bin = quantize_iat(packet.timestamp - prev_time, resolution)
+            packet_bin[index] = (key, iat_bin, prev_index)
+            counts = bin_counts[key]
+            counts[iat_bin] = counts.get(iat_bin, 0) + 1
+        last_seen[key] = (index, packet.timestamp)
+
+    # Second pass: a bin is "repeated" when, considering neighbour bins,
+    # it was computed at least twice in its bucket.
+    for index, (key, iat_bin, prev_index) in packet_bin.items():
+        counts = bin_counts[key]
+        total = 0
+        for delta in range(-neighbor_bins, neighbor_bins + 1):
+            total += counts.get(iat_bin + delta, 0)
+        if total >= 2:
+            labels[index] = True
+            labels[prev_index] = True
+
+    return labels

@@ -6,17 +6,15 @@ import pytest
 from repro.net import DnsTable, FlowDefinition, Trace
 from repro.net.flows import flow_key
 from repro.predictability import label_predictable, quantize_iat
-from repro.predictability.buckets import _label_predictable_scalar
 from repro.predictability.binmatch import (
-    PAIR_SHIFT,
     KeyInterner,
     chain_prev,
-    codes_safe,
     neighbor_counts,
-    pair_codes,
     quantize_iat_array,
 )
 from tests.conftest import make_packet
+
+from oracles import scalar_label_predictable
 
 
 def _random_trace(rng, n=400, n_flows=12, jitter=0.5):
@@ -86,26 +84,39 @@ class TestNeighborLookups:
     def test_neighbor_counts_brute_force(self, rng):
         kids = rng.integers(0, 3, size=120)
         bins = rng.integers(0, 12, size=120)
-        codes = pair_codes(kids, bins)
-        uniq, counts = np.unique(codes, return_counts=True)
         from collections import Counter
 
-        tally = Counter(codes.tolist())
-        for nb in (0, 1):
-            got = neighbor_counts(uniq, counts, kids, bins, nb)
+        tally = Counter(zip(kids.tolist(), bins.tolist()))
+        for nb in (-1, 0, 1, 2):
+            got = neighbor_counts(kids, bins, nb)
             want = [
-                sum(tally[k * PAIR_SHIFT + b + d] for d in range(-nb, nb + 1))
+                sum(tally[k, b + d] for d in range(-nb, nb + 1))
                 for k, b in zip(kids.tolist(), bins.tolist())
             ]
             assert got.tolist() == want, nb
 
+    def test_empty(self):
+        empty = np.empty(0, dtype=np.int64)
+        assert neighbor_counts(empty, empty, 1).tolist() == []
 
-class TestCodesSafe:
-    def test_overflow_bin_rejected(self):
-        kids = np.array([0], dtype=np.int64)
-        assert codes_safe(kids, np.array([PAIR_SHIFT - 1]), 1) is False
-        assert codes_safe(kids, np.array([PAIR_SHIFT - 2]), 1) is True
-        assert codes_safe(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 1)
+
+class TestHugeBins:
+    def test_bins_past_any_packing_limit_match_scalar(self):
+        # IATs of years at a microsecond resolution give bins near 2**45;
+        # neighbouring buckets and bins must still be told apart exactly.
+        packets = []
+        for flow in range(3):
+            t = float(flow)
+            for gap in (4e7, 4e7, 4e7 + 1e-6, 9e7, 4e7 + 3e-6):
+                t += gap
+                packets.append(make_packet(timestamp=t, dst_ip=f"172.1.2.{flow}", size=100 + flow))
+        trace = Trace(sorted(packets, key=lambda p: p.timestamp))
+        for resolution in (1e-6, 0.25):
+            for nb in (0, 1, 2):
+                vec = label_predictable(trace, resolution=resolution, neighbor_bins=nb)
+                ref = scalar_label_predictable(trace, resolution=resolution, neighbor_bins=nb)
+                assert vec == ref, (resolution, nb)
+        assert any(label_predictable(trace, resolution=1e-6, neighbor_bins=1))
 
 
 class TestKeyInterner:
@@ -125,7 +136,7 @@ class TestVectorizedLabelling:
         for seed in range(3):
             trace = _random_trace(np.random.default_rng(seed))
             vec = label_predictable(trace, definition=definition)
-            ref = _label_predictable_scalar(trace, definition, None, 0.25, 1)
+            ref = scalar_label_predictable(trace, definition)
             assert vec == ref, (definition, seed)
 
     def test_matches_scalar_with_dns(self, rng):
@@ -133,5 +144,5 @@ class TestVectorizedLabelling:
         dns.add_record("172.1.2.3", "cloud.example.com")
         trace = _random_trace(np.random.default_rng(7), n_flows=6)
         vec = label_predictable(trace, dns=dns)
-        ref = _label_predictable_scalar(trace, FlowDefinition.PORTLESS, dns, 0.25, 1)
+        ref = scalar_label_predictable(trace, FlowDefinition.PORTLESS, dns)
         assert vec == ref
