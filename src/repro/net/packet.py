@@ -63,7 +63,7 @@ TCP_PSH = 0x08
 TCP_ACK = 0x10
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Packet:
     """A single observed packet.
 
@@ -88,48 +88,13 @@ class Packet:
     event_id: Optional[str] = None
     extra: Dict[str, Any] = field(default_factory=dict, compare=False)
 
-    def __init__(
-        self,
-        timestamp: float,
-        size: int,
-        src_ip: str,
-        dst_ip: str,
-        src_port: int,
-        dst_port: int,
-        protocol: str,
-        direction: Direction,
-        device: str = "",
-        tcp_flags: int = 0,
-        tls_version: int = TLS_NONE,
-        traffic_class: TrafficClass = TrafficClass.CONTROL,
-        event_id: Optional[str] = None,
-        extra: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        if size < 0:
-            raise ValueError(f"packet size must be non-negative, got {size}")
-        if protocol not in ("tcp", "udp"):
-            raise ValueError(f"unsupported protocol {protocol!r}")
-        if not (0 <= src_port <= 65535 and 0 <= dst_port <= 65535):
+    def __post_init__(self) -> None:
+        if self.size < 0:
+            raise ValueError(f"packet size must be non-negative, got {self.size}")
+        if self.protocol not in ("tcp", "udp"):
+            raise ValueError(f"unsupported protocol {self.protocol!r}")
+        if not (0 <= self.src_port <= 65535 and 0 <= self.dst_port <= 65535):
             raise ValueError("ports must be in [0, 65535]")
-        # The generated frozen __init__ pays one object.__setattr__ per
-        # field; simulators build millions of packets, so the fields go
-        # straight into the instance dict.
-        self.__dict__.update(
-            timestamp=timestamp,
-            size=size,
-            src_ip=src_ip,
-            dst_ip=dst_ip,
-            src_port=src_port,
-            dst_port=dst_port,
-            protocol=protocol,
-            direction=direction,
-            device=device,
-            tcp_flags=tcp_flags,
-            tls_version=tls_version,
-            traffic_class=traffic_class,
-            event_id=event_id,
-            extra={} if extra is None else extra,
-        )
 
     @property
     def remote_ip(self) -> str:

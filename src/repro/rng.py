@@ -10,6 +10,8 @@ plain calls would have left it in.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 #: ``(word >> 11) * _DOUBLE_UNIT`` is NumPy's ``next_double`` for PCG64.
@@ -22,7 +24,9 @@ class WordStream:
     It copies NumPy's algorithms:
 
     * ``random()`` is ``(word >> 11) * 2**-53`` and ``uniform(low, high)``
-      is ``low + (high - low) * random()``;
+      is ``low + (high - low) * random()``; ``random() < p`` holds exactly
+      when the raw word from :attr:`next64` is below :meth:`bound` ``(p)``,
+      so a Bernoulli draw need not convert the word;
     * ``integers(low, high)`` is Lemire's multiply with rejection on a
       32-bit draw, and draws nothing when ``high - low == 1``;
     * a 32-bit draw takes the low half of a fresh word and keeps the high
@@ -39,7 +43,7 @@ class WordStream:
     never touch the buffer.
     """
 
-    __slots__ = ("_bit_generator", "_next64", "_has_uint32", "_uinteger")
+    __slots__ = ("_bit_generator", "next64", "_has_uint32", "_uinteger")
 
     def __init__(self, rng: np.random.Generator) -> None:
         bit_generator = rng.bit_generator
@@ -48,16 +52,28 @@ class WordStream:
                 f"raw-word replay needs a PCG64 Generator, got {type(bit_generator).__name__}"
             )
         self._bit_generator = bit_generator
-        self._next64 = bit_generator.random_raw
+        #: the next raw 64-bit word (``bit_generator.random_raw``)
+        self.next64 = bit_generator.random_raw
         #: the 32-bit buffer; None until the first bounded integer reads it
         self._has_uint32 = None
         self._uinteger = 0
 
     def random(self) -> float:
-        return (self._next64() >> 11) * _DOUBLE_UNIT
+        return (self.next64() >> 11) * _DOUBLE_UNIT
+
+    @staticmethod
+    def bound(p: float) -> int:
+        """The raw-word bound of a Bernoulli draw: ``random() < p`` iff ``next64() < bound(p)``.
+
+        For finite ``p``: ``(word >> 11) * 2**-53 < p`` compares the integer ``word >> 11``
+        with ``p * 2**53``, both exact; an integer is below a real ``c``
+        iff it is below ``ceil(c)``, and ``word >> 11 < k`` iff
+        ``word < k << 11``.
+        """
+        return math.ceil(p * 2.0**53) << 11
 
     def uniform(self, low: float, high: float) -> float:
-        return low + (high - low) * ((self._next64() >> 11) * _DOUBLE_UNIT)
+        return low + (high - low) * ((self.next64() >> 11) * _DOUBLE_UNIT)
 
     def _next32(self) -> int:
         if self._has_uint32 is None:
@@ -67,7 +83,7 @@ class WordStream:
         if self._has_uint32:
             self._has_uint32 = 0
             return self._uinteger
-        word = self._next64()
+        word = self.next64()
         self._has_uint32 = 1
         self._uinteger = word >> 32
         return word & 0xFFFFFFFF

@@ -213,33 +213,42 @@ def render_event(
         ends[service, True] = (remote, device_ip, endpoint.port, local_port)
     # The bounded integers above stay Generator calls, so the stream never
     # touches PCG64's 32-bit buffer; it replays the per-packet uniforms
-    # from raw words.  Sizes stay Generator normals.
+    # from raw words.  Each marker draw ``random() < p`` compares the raw
+    # word with its bound.  Sizes stay Generator normals.
     words = WordStream(rng)
-    random = words.random
+    word = words.next64
+    bound = WordStream.bound
+    port_high = bound(template.port_high_prob)
+    first_inbound = bound(template.first_inbound_prob)
+    first_udp = bound(template.first_udp_prob)
+    inbound_p = bound(template.inbound_prob)
+    tcp_p = bound(template.tcp_prob)
+    tls_p = bound(template.tls_prob)
+    psh_p = bound(template.psh_prob)
+    size_big = bound(template.size_big_prob)
+    iat_fast = bound(template.iat_fast_prob)
     device = profile.name
     packets: List[Packet] = []
     t = start
     for i in range(n):
-        service = (
-            template.service_high if random() < template.port_high_prob else template.service_low
-        )
+        service = template.service_high if word() < port_high else template.service_low
         if i == 0:
-            inbound = random() < template.first_inbound_prob
-            udp = random() < template.first_udp_prob
-            tcp = not udp and random() < template.tcp_prob
+            inbound = word() < first_inbound
+            udp = word() < first_udp
+            tcp = not udp and word() < tcp_p
         else:
-            inbound = random() < template.inbound_prob
-            tcp = random() < template.tcp_prob
+            inbound = word() < inbound_p
+            tcp = word() < tcp_p
         if tcp:
-            tls = TLS_1_2 if random() < template.tls_prob else TLS_NONE
-            flags = TCP_PSH | TCP_ACK if random() < template.psh_prob else TCP_ACK
+            tls = TLS_1_2 if word() < tls_p else TLS_NONE
+            flags = TCP_PSH | TCP_ACK if word() < psh_p else TCP_ACK
         else:
             tls = TLS_NONE
             flags = 0
         if i == 0 and template.first_size is not None:
             size = template.first_size
         else:
-            mode = template.size_big if random() < template.size_big_prob else template.size_small
+            mode = template.size_big if word() < size_big else template.size_small
             size = max(60, int(rng.normal(*mode)))
         src_ip, dst_ip, src_port, dst_port = ends[service, inbound]
         packets.append(
@@ -259,7 +268,7 @@ def render_event(
                 event_id=event_id,
             )
         )
-        iat = template.iat_fast if random() < template.iat_fast_prob else template.iat_slow
+        iat = template.iat_fast if word() < iat_fast else template.iat_slow
         t += words.uniform(*iat)
     words.close()
     return packets

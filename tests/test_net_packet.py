@@ -75,29 +75,3 @@ class TestPacketHelpers:
         assert packet.tcp_flags == 0
         assert packet.tls_version == 0
         assert packet.event_id is None
-
-
-class TestPacketConstruction:
-    def test_constructor_sets_every_field(self):
-        import dataclasses
-
-        packet = make_packet()
-        assert set(vars(packet)) == {f.name for f in dataclasses.fields(Packet)}
-        assert packet.extra == {} and make_packet().extra is not packet.extra
-
-    def test_positional_and_keyword_construction_agree(self):
-        args = (1.5, 300, "10.0.0.2", "1.2.3.4", 40000, 443, "tcp", Direction.OUTBOUND,
-                "dev", 0x18, 12, TrafficClass.MANUAL, "ev-1")
-        names = ("timestamp", "size", "src_ip", "dst_ip", "src_port", "dst_port", "protocol",
-                 "direction", "device", "tcp_flags", "tls_version", "traffic_class", "event_id")
-        positional = Packet(*args)
-        keyword = Packet(**dict(zip(names, args)))
-        assert positional == keyword and hash(positional) == hash(keyword)
-        assert positional.to_dict() == keyword.to_dict()
-
-    def test_still_frozen(self):
-        import dataclasses
-
-        packet = make_packet()
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            packet.size = 1

@@ -115,14 +115,14 @@ class TestStreamContract:
         # 2**32 % (3 * 2**30) == 2**30: about a quarter of the draws are rejected.
         rng = np.random.default_rng(0)
         stream = WordStream(rng)
-        next64 = stream._next64
+        next64 = stream.next64
         words = []
 
         def counted_next64():
             words.append(next64())
             return words[-1]
 
-        stream._next64 = counted_next64
+        stream.next64 = counted_next64
         for _ in range(400):
             stream.integers(0, 3 * 2**30)
         assert len(words) > 220  # 200 words without rejection
@@ -173,6 +173,22 @@ class TestStreamContract:
             ],
         )
         assert values == expected
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
+
+    def test_bernoulli_bound(self):
+        edge = [0.0, 1.0, 0.5, 0.3, 0.9, 1e-300, 2.0**-53, 3 * 2.0**-54, np.nextafter(1.0, 0.0), -0.2, 1.5]
+        probabilities = edge + np.random.default_rng(1).random(200).tolist()
+        expected_rng = np.random.default_rng(17)
+        rng = np.random.default_rng(17)
+        stream = WordStream(rng)
+        for p in probabilities:
+            for _ in range(20):
+                assert (stream.next64() < WordStream.bound(p)) == (expected_rng.random() < p)
+            # the words on either side of the bound
+            k = WordStream.bound(p)
+            for word in (k - 1, k, k - 2048, k + 2047):
+                if 0 <= word < 2**64:
+                    assert (word < k) == ((word >> 11) * 2.0**-53 < p), (p, word)
         assert rng.bit_generator.state == expected_rng.bit_generator.state
 
     @pytest.mark.parametrize("has_uint32", [0, 1])
