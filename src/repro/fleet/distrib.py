@@ -526,7 +526,12 @@ class _MachineHeartbeat:
 
 
 def _await_revoke(range_dir: str, range_index: int, epoch: int) -> None:
-    """Block until the coordinator ledger beside ``range_dir`` revokes this lease."""
+    """Block until the coordinator ledger beside ``range_dir`` revokes this lease.
+
+    If the coordinator dies first, the machine keeps waiting: a resumed
+    coordinator adopts the lease, revokes it once it expires, and the
+    machine then submits and exits.
+    """
     ledger_path = os.path.join(os.path.dirname(range_dir), LEDGER_NAME)
     while not any(
         record.get("kind") == "revoke"
