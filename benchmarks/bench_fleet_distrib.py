@@ -9,7 +9,7 @@ asserting after every variant that the report bytes are identical to
 the single-machine run (fault tolerance must never buy liveness with
 determinism).
 
-Headline metrics (tracked in ``benchmarks/baselines/history.jsonl``):
+Headline metrics (written to ``BENCH_fleet_distrib.json``):
 ``homes_per_sec`` (best distributed rate) and
 ``recovery_overhead_pct`` (kill-one-machine wall-clock tax over a
 clean distributed run at the same machine count).

@@ -1,18 +1,13 @@
-"""Fleet scale-out: homes/sec as a function of worker processes.
+"""Fleet durability and population-scale costs.
 
-The ROADMAP north star is a system serving millions of homes; the first
-scale-out axis is shard-per-worker parallelism over independent
-households (`repro.fleet`).  This bench runs one generated fleet
-through the serial backend and through process pools of increasing
-size, reporting homes/sec and the speedup over serial, and asserts the
-backends agree byte-for-byte on the aggregate report (parallelism must
-never buy throughput with determinism).
+Two benches over `repro.fleet`: the homes/sec tax of checkpointing a
+run (``--state-dir``), byte-identical to a plain run, and the peak
+allocation of a 10k-home streaming fold, which must stay flat as the
+fleet doubles.  Fleet throughput itself is measured by perfbench's
+``fleet`` workload; byte-identity across ``--jobs`` values is a tier-1
+test (``tests/test_fleet_runner.py``).
 
-On a multi-core runner the process backend should clear ~1.5x serial at
-``jobs=4``; on a single-core container it only has to stay correct (the
-speedup assertion is gated on the visible CPU count).
-
-Run with ``pytest -s`` to see the table.
+Run with ``pytest -s`` to see the tables.
 """
 
 import json
@@ -34,9 +29,6 @@ from repro.fleet import (
 
 from benchmarks._helpers import bench_out_path, print_table
 
-#: Pool sizes swept (serial is the `jobs=1` reference).
-JOB_COUNTS = [1, 2, 4]
-
 #: Rule devices: no ML training, so the bench isolates orchestration
 #: and serialisation overhead rather than classifier fitting.
 N_HOMES = 12
@@ -47,61 +39,6 @@ def _fleet():
         N_HOMES, seed=11, name="bench-scaling",
         n_manual=4, n_non_manual=8, n_attacks=4,
     )
-
-
-def test_fleet_scaling_throughput():
-    """Homes/sec vs ``--jobs``, with cross-backend determinism asserted."""
-    spec = _fleet()
-    rows = []
-    reports = {}
-    timings = {}
-    for jobs in JOB_COUNTS:
-        backend = "serial" if jobs == 1 else "process"
-        runner = FleetRunner(spec, jobs=jobs, backend=backend)
-        t0 = time.perf_counter()
-        report = runner.run()
-        elapsed = time.perf_counter() - t0
-        assert report.ok, f"jobs={jobs}: {report.failed_homes}"
-        reports[jobs] = report.to_json()
-        timings[jobs] = elapsed
-        rows.append(
-            (
-                f"{backend}:{jobs}",
-                f"{elapsed:.2f}s",
-                f"{N_HOMES / elapsed:.2f}",
-                f"{timings[1] / elapsed:.2f}x",
-            )
-        )
-
-    print_table(
-        "Fleet scaling (homes/sec vs jobs)",
-        ["backend:jobs", "elapsed", "homes/sec", "speedup"],
-        rows,
-    )
-
-    # Determinism across backends and pool sizes: identical bytes.
-    for jobs in JOB_COUNTS[1:]:
-        assert reports[jobs] == reports[1], f"jobs={jobs} diverged from serial"
-
-    # Speedup only where the hardware can provide it (CI: 4-core runner).
-    cores = os.cpu_count() or 1
-    if cores >= 4:
-        assert timings[1] / timings[4] > 1.5, (
-            f"expected >1.5x at jobs=4 on {cores} cores, "
-            f"got {timings[1] / timings[4]:.2f}x"
-        )
-
-    headline = {
-        "n_homes": N_HOMES,
-        "cores": cores,
-        "homes_per_sec": {
-            str(jobs): N_HOMES / elapsed for jobs, elapsed in timings.items()
-        },
-        "speedup": {str(jobs): timings[1] / timings[jobs] for jobs in JOB_COUNTS},
-        "deterministic": True,
-    }
-    with open(bench_out_path("BENCH_fleet_scaling.json"), "w", encoding="utf-8") as fh:
-        json.dump({"bench": "fleet_scaling", "headline": headline}, fh, indent=2)
 
 
 def test_fleet_checkpoint_overhead():

@@ -36,9 +36,6 @@ Subcommands
     Render the observability dashboard from a metrics snapshot — or
     from a fleet checkpoint state dir (latest compacted aggregate) —
     or follow one trace ID through an audit stream.
-``bench-report``
-    Render the committed perf trajectory (``benchmarks/baselines/
-    history.jsonl``) as a trend table; ``--check`` gates on regression.
 ``export-profile``
     Learn allow rules from a capture's bootstrap window and export a
     MUD-style profile for one device.
@@ -255,30 +252,37 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         write_spec_jsonl,
     )
 
-    if args.spec:
-        source = open_spec(args.spec)
-    else:
-        spec = generate_fleet(
-            args.homes,
-            seed=args.seed,
-            name=args.name,
-            device_pool=tuple(args.devices) if args.devices else None,
-            n_manual=args.manual,
-            n_non_manual=args.non_manual,
-            n_attacks=args.attacks,
-            n_training_events=args.training_events,
-            fault_fraction=args.fault_fraction,
-        )
-        if args.spec_out:
-            if args.spec_out.endswith(".jsonl"):
-                write_spec_jsonl(
-                    args.spec_out, iter(spec.homes),
-                    name=spec.name, seed=spec.seed, n_homes=len(spec),
-                )
-            else:
-                spec.dump(args.spec_out)
-            print(f"fleet spec ({len(spec)} homes) written to {args.spec_out}")
-        source = spec.stream()
+    if args.machines < 1:
+        print(f"fleet: --machines must be >= 1, got {args.machines}", file=sys.stderr)
+        return 2
+    try:
+        if args.spec:
+            source = open_spec(args.spec)
+        else:
+            spec = generate_fleet(
+                args.homes,
+                seed=args.seed,
+                name=args.name,
+                device_pool=tuple(args.devices) if args.devices else None,
+                n_manual=args.manual,
+                n_non_manual=args.non_manual,
+                n_attacks=args.attacks,
+                n_training_events=args.training_events,
+                fault_fraction=args.fault_fraction,
+            )
+            if args.spec_out:
+                if args.spec_out.endswith(".jsonl"):
+                    write_spec_jsonl(
+                        args.spec_out, iter(spec.homes),
+                        name=spec.name, seed=spec.seed, n_homes=len(spec),
+                    )
+                else:
+                    spec.dump(args.spec_out)
+                print(f"fleet spec ({len(spec)} homes) written to {args.spec_out}")
+            source = spec.stream()
+    except (OSError, ValueError) as error:
+        print(f"fleet: {error}", file=sys.stderr)
+        return 2
     if args.watch and not args.state_dir:
         print(
             "fleet: --watch requires --state-dir (telemetry frames live there)",
@@ -521,23 +525,6 @@ def cmd_fleet_top(args: argparse.Namespace) -> int:
         if not args.follow or snapshot.status in ("done", "interrupted"):
             return 0
         _time.sleep(args.interval)
-
-
-def cmd_bench_report(args: argparse.Namespace) -> int:
-    from .obs.trajectory import (
-        DEFAULT_HISTORY_PATH,
-        check_regression,
-        load_history,
-        render_trend,
-    )
-
-    entries = load_history(args.history or DEFAULT_HISTORY_PATH)
-    print(render_trend(entries, last=args.last))
-    if args.check:
-        check = check_regression(entries)
-        print(check.describe())
-        return 0 if check.ok else 1
-    return 0
 
 
 def cmd_export_profile(args: argparse.Namespace) -> int:
@@ -885,23 +872,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--top", type=int, default=12, help="rows per dashboard section"
     )
     obs_report.set_defaults(func=cmd_obs_report)
-
-    bench_report = sub.add_parser(
-        "bench-report", help="render the committed perf trajectory trend"
-    )
-    bench_report.add_argument(
-        "--history", default=None,
-        help="trajectory history JSONL (default: benchmarks/baselines/history.jsonl)",
-    )
-    bench_report.add_argument(
-        "--last", type=int, default=12, help="sparkline window (default: 12 runs)"
-    )
-    bench_report.add_argument(
-        "--check", action="store_true",
-        help="also run the regression gate; exit 1 on any tracked metric "
-        "outside its tolerance",
-    )
-    bench_report.set_defaults(func=cmd_bench_report)
 
     train = sub.add_parser("train", help="train + save a device's event classifier")
     train.add_argument("--device", required=True)

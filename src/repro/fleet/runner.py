@@ -134,6 +134,8 @@ class FleetRunner:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
+        if timeout_s is not None and timeout_s < 0:
+            raise ValueError(f"timeout_s must be >= 0, got {timeout_s}")
         if snapshot_every < 1:
             raise ValueError(f"snapshot_every must be >= 1, got {snapshot_every}")
         if backend == "serial" and timeout_s is not None:

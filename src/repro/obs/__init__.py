@@ -26,9 +26,6 @@ This package provides that layer without touching behaviour:
 ``repro.obs.mergetree``
     Exact (rational-sum) merging of snapshots behind the fleet
     aggregate.
-``repro.obs.trajectory``
-    The committed perf trajectory: bench-history recording, the
-    regression gate, and the ``fiat-repro bench-report`` trend view.
 
 The invariant every consumer relies on: with observability enabled or
 disabled, ``FiatProxy.decision_log()`` is byte-identical on the same

@@ -141,15 +141,6 @@ CASES = [
         [],
     ),
     (
-        # No committed history in the tmpdir: renders the "no history"
-        # hint, which is the correct empty-trajectory view.
-        "bench-report",
-        lambda root: [
-            "bench-report", "--history", str(root / "bench-history.jsonl"),
-        ],
-        [],
-    ),
-    (
         "export-profile",
         lambda root: [
             "export-profile", _trace(root), "--device", "SP10",
@@ -227,6 +218,26 @@ def test_fleet_cli_watch_smoke(workdir, capsys):
 def test_fleet_watch_requires_state_dir(capsys):
     assert main(["fleet", "--homes", "1", "--watch"]) == 2
     assert "--watch requires --state-dir" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--homes", "0"],
+        ["--spec", "missing.json"],
+        ["--machines", "0"],
+        ["--machines", "-1"],
+        ["--homes", "1", "--timeout", "-1"],
+    ],
+    ids=["homes-0", "missing-spec", "machines-0", "machines-negative", "timeout-negative"],
+)
+def test_fleet_rejects_bad_input(tmp_path, monkeypatch, capsys, argv):
+    """Bad fleet input is one ``fleet: …`` line and exit 2, not a traceback."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["fleet", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("fleet: ") and captured.err.count("\n") == 1
+    assert not captured.out
 
 
 def test_obs_report_reads_fleet_state_dir(workdir, capsys):

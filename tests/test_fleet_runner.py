@@ -35,10 +35,10 @@ def _poisoned_spec(poison="raise"):
 
 @pytest.fixture(scope="module")
 def small_reports():
-    """Serial and 2-worker process reports of one small fleet."""
+    """Serial and process-pool reports (2 and 4 workers) of one small fleet."""
     spec = _spec(4, seed=0)
     serial = FleetRunner(spec, jobs=1).run()
-    process = FleetRunner(spec, jobs=2, backend="process").run()
+    process = {jobs: FleetRunner(spec, jobs=jobs, backend="process").run() for jobs in (2, 4)}
     return serial, process
 
 
@@ -74,7 +74,8 @@ class TestWorker:
 class TestDeterminismAcrossBackends:
     def test_reports_byte_identical(self, small_reports):
         serial, process = small_reports
-        assert serial.to_json() == process.to_json()
+        for jobs, report in process.items():
+            assert report.to_json() == serial.to_json(), f"jobs={jobs} diverged from serial"
 
     def test_reports_ok(self, small_reports):
         serial, _ = small_reports

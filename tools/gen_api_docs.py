@@ -78,7 +78,6 @@ MODULES = [
     "repro.obs.handle",
     "repro.obs.report",
     "repro.obs.mergetree",
-    "repro.obs.trajectory",
     "repro.scenarios",
     "repro.util",
     "repro.fleet.spec",
