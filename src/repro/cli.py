@@ -258,6 +258,8 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     try:
         if args.spec:
             source = open_spec(args.spec)
+            if source.n_homes == 0:
+                raise ValueError(f"{args.spec}: n_homes must be >= 1, the spec has no homes")
         else:
             spec = generate_fleet(
                 args.homes,
@@ -470,7 +472,21 @@ def cmd_obs_report(args: argparse.Namespace) -> int:
 
     from .obs import load_snapshot, read_audit, render_report, render_trace
 
-    audit = read_audit(args.audit) if args.audit else None
+    agg = snapshot = None
+    try:
+        audit = read_audit(args.audit) if args.audit else None
+        if args.snapshot and not args.trace_id:
+            if os.path.isdir(args.snapshot):
+                # A fleet checkpoint state dir: render the latest compacted
+                # aggregate (works mid-run and after a kill — read-only).
+                from .fleet import load_latest_aggregate
+
+                agg = load_latest_aggregate(args.snapshot)
+            else:
+                snapshot = load_snapshot(args.snapshot)
+    except (OSError, ValueError) as error:
+        print(f"obs-report: {error}", file=sys.stderr)
+        return 2
     if args.trace_id:
         if audit is None:
             print("--trace-id requires --audit", file=sys.stderr)
@@ -480,24 +496,13 @@ def cmd_obs_report(args: argparse.Namespace) -> int:
     if not args.snapshot:
         print("a metrics snapshot path is required (or use --trace-id)", file=sys.stderr)
         return 1
-    if os.path.isdir(args.snapshot):
-        # A fleet checkpoint state dir: render the latest compacted
-        # aggregate (works mid-run and after a kill — read-only).
-        from .fleet import load_latest_aggregate
-
-        try:
-            agg = load_latest_aggregate(args.snapshot)
-        except FileNotFoundError as error:
-            print(f"obs-report: {error}", file=sys.stderr)
-            return 1
+    if agg is not None:
         print(
             f"fleet state dir {args.snapshot}: {agg.completed} homes folded "
             f"({agg.n_ok} ok, {agg.n_failed} failed, "
             f"{len(agg.quarantined)} quarantined)"
         )
-        print(render_report(agg.merged, audit=audit, top=args.top))
-        return 0
-    snapshot = load_snapshot(args.snapshot)
+        snapshot = agg.merged
     print(render_report(snapshot, audit=audit, top=args.top))
     return 0
 

@@ -21,21 +21,27 @@ Total: 55 + 4 + 7 = **66**.  Events shorter than 5 packets are
 zero-padded, which BernoulliNB's default binarisation naturally treats
 as "feature absent".
 
-:func:`events_to_matrix` computes all rows as one block, with the same
-float operations as a per-event ``np.mean``/``np.std`` (the per-event code
-is kept in ``tests/oracles.py``); :func:`event_features` is its one-row
-call.
+:func:`event_features` builds one event's row as Python floats and
+:func:`events_to_matrix` stacks those rows with one ``np.array`` call, so
+the proxy's per-event decision and training share one implementation.
+Sums, means and standard deviations repeat the float operations of
+``np.sum``/``np.mean``/``np.std``: on at most 7 values NumPy adds left to
+right from ``0.0``; from 8 values on (only when ``n >= 8``) it adds
+pairwise, so those lists are reduced by NumPy itself.  Rows are
+bit-identical to the per-event NumPy code kept in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from ..events.grouping import UnpredictableEvent
-from ..net.packet import Direction
+from ..net.packet import Direction, Packet
 
 __all__ = [
     "FEATURE_NAMES",
@@ -82,12 +88,11 @@ FEATURE_NAMES: Tuple[str, ...] = tuple(_build_feature_names())
 N_FEATURES = len(FEATURE_NAMES)
 
 
-#: Per-packet columns of :func:`_head_block`: the 11 per-packet features
-#: of the layout above, then the timestamp.
+#: Per-packet features of the layout above.
 _PACKET_COLUMNS = 11
 
-#: An event of ``count`` packets has ``count`` sizes and ``count - 1`` IATs.
-_SIZE_IAT_OFFSET = np.array([[0], [1]])
+#: Read once: on CPython 3.11 looking a member up on its enum class costs ~0.2 µs.
+_OUTBOUND = Direction.OUTBOUND
 
 
 @functools.lru_cache(maxsize=4096)
@@ -101,102 +106,68 @@ def _ip_octets(ip: str) -> Tuple[float, float, float, float]:
         return (0.0, 0.0, 0.0, 0.0)
 
 
-def _head_block(
-    events: Sequence[UnpredictableEvent], n: int
-) -> Tuple[np.ndarray, List[int]]:
-    """Per-packet columns of every event's first ``n`` packets.
-
-    Returns ``(block, counts)``: ``block[e, j]`` holds the 11 per-packet
-    features of packet ``j`` of event ``e`` followed by its timestamp,
-    zero past the event's ``counts[e]`` packets.
-    """
-    rows = []
-    counts = []
-    for event in events:
-        head = event.first_n(n)
-        counts.append(len(head))
-        row: List[float] = []
-        for packet in head:
-            row += (
-                1.0 if packet.direction is Direction.OUTBOUND else 0.0,
-                1.0 if packet.protocol == "tcp" else 0.0,
-                packet.tcp_flags,
-                packet.tls_version,
-                packet.size,
-                packet.src_port,
-                packet.dst_port,
-                *_ip_octets(packet.remote_ip),
-                packet.timestamp,
-            )
-        row.extend([0.0] * ((_PACKET_COLUMNS + 1) * (n - len(head))))
-        rows.append(row)
-    block = np.array(rows, dtype=float).reshape(len(rows), n, _PACKET_COLUMNS + 1)
-    return block, counts
+def _packet_columns(packet: Packet) -> Tuple[float, ...]:
+    """The 11 per-packet features of one packet."""
+    outbound = packet.direction is _OUTBOUND
+    return (
+        1.0 if outbound else 0.0,
+        1.0 if packet.protocol == "tcp" else 0.0,
+        packet.tcp_flags,
+        packet.tls_version,
+        packet.size,
+        packet.src_port,
+        packet.dst_port,
+        # packet.remote_ip, without a second enum lookup
+        *_ip_octets(packet.dst_ip if outbound else packet.src_ip),
+    )
 
 
-def _padded_sum(values: np.ndarray, present: np.ndarray) -> np.ndarray:
-    """Sums over the first axis of the present entries, as ``np.sum`` adds them.
+def _moments(values: Sequence[float]) -> Tuple[float, float, float]:
+    """``sum()``, ``mean()`` and ``std()`` of ``values`` as NumPy computes them.
 
     On at most 7 values ``np.sum`` starts from ``0.0`` and adds left to
-    right (longer rows are left to the caller).  Absent entries become
-    ``-0.0``, which leaves every sum as it is.
+    right, ``mean`` divides by the count and ``std`` is
+    ``sqrt(sum((x - mean)**2) / count)``, so Python floats give the same
+    bits.  From 8 values on ``np.sum`` adds pairwise, and NumPy reduces.
     """
-    padded = np.where(present, values, -0.0)
-    total = 0.0 + padded[0]
-    for value in padded[1:]:
-        total = total + value
-    return total
-
-
-def _feature_block(events: Sequence[UnpredictableEvent], n: int) -> np.ndarray:
-    """The ``(len(events), 11 n + (n - 1) + 7)`` feature matrix, computed as one block."""
-    block, count_list = _head_block(events, n)
-    if 0 in count_list:
-        raise ValueError("cannot featurise an empty event")
-    counts = np.array(count_list)
-    n_events = len(counts)
-    width = _PACKET_COLUMNS * n
-    features = np.empty((n_events, width + n + 6))
-    features[:, :width] = block[:, :, :_PACKET_COLUMNS].reshape(n_events, width)
-
-    # Sizes and IATs as one (packet, [size, iat], event) stack: entry j of
-    # the IAT row is the gap from packet j to packet j + 1.
-    timestamps = block[:, :, _PACKET_COLUMNS].T
-    values = np.zeros((n, 2, n_events))
-    values[:, 0] = block[:, :, 4].T
-    values[:-1, 1] = timestamps[1:] - timestamps[:-1]
-    lengths = counts - _SIZE_IAT_OFFSET
-    present = np.arange(n)[:, None, None] < lengths
-    features[:, width : width + n - 1] = np.where(present[:-1, 1], values[:-1, 1], 0.0).T
-
-    # mean() and std() as NumPy computes them on one event's values.  An
-    # event of one packet has no IAT: its sums are 0.0, so are its mean and
-    # std, as the per-event code sets them.
-    count = np.maximum(lengths, 1)
-    total = _padded_sum(values, present)
+    count = len(values)
+    if count >= 8:
+        array = np.array(values, dtype=float)
+        return array.sum(), array.mean(), array.std()
+    # Not sum(): from Python 3.12 it compensates float rounding.
+    total = 0.0
+    for value in values:
+        total += value
     mean = total / count
-    deviation = values - mean
-    std = np.sqrt(_padded_sum(deviation * deviation, present) / count)
-    if n >= 8:
-        # From 8 values on np.sum adds pairwise: rows that long take
-        # NumPy's own reductions, grouped by length.
-        for row in range(2):
-            for length in np.unique(lengths[row][lengths[row] >= 8]).tolist():
-                members = np.nonzero(lengths[row] == length)[0]
-                long_rows = np.ascontiguousarray(values[:length, row, members].T)
-                total[row, members] = long_rows.sum(axis=1)
-                mean[row, members] = long_rows.mean(axis=1)
-                std[row, members] = long_rows.std(axis=1)
+    squares = 0.0
+    for value in values:
+        deviation = value - mean
+        squares += deviation * deviation
+    return total, mean, math.sqrt(squares / count)
 
-    aggregates = features[:, width + n - 1 :]
-    aggregates[:, 0] = counts
-    aggregates[:, 1] = total[0]
-    aggregates[:, 2] = mean[0]
-    aggregates[:, 3] = std[0]
-    aggregates[:, 4] = mean[1]
-    aggregates[:, 5] = std[1]
-    aggregates[:, 6] = timestamps[counts - 1, np.arange(n_events)] - timestamps[0]
-    return features
+
+def _feature_row(event: UnpredictableEvent, n: int) -> List[float]:
+    """The ``11 n + (n - 1) + 7`` features of one event as a list."""
+    head = event.first_n(n)
+    count = len(head)
+    if count == 0:
+        raise ValueError("cannot featurise an empty event")
+    row: List[float] = []
+    for packet in head:
+        row += _packet_columns(packet)
+    row += [0.0] * (_PACKET_COLUMNS * (n - count))
+    start = previous = head[0].timestamp
+    iats = []
+    for packet in head[1:]:
+        iats.append(packet.timestamp - previous)
+        previous = packet.timestamp
+    row += iats
+    row += [0.0] * (n - count)
+    size_sum, size_mean, size_std = _moments([packet.size for packet in head])
+    # An event of one packet has no IAT; its IAT mean and std are 0.0.
+    _, iat_mean, iat_std = _moments(iats) if iats else (0.0, 0.0, 0.0)
+    row += (count, size_sum, size_mean, size_std, iat_mean, iat_std, previous - start)
+    return row
 
 
 def event_features(event: UnpredictableEvent, n: int = FIRST_N_PACKETS) -> np.ndarray:
@@ -205,9 +176,9 @@ def event_features(event: UnpredictableEvent, n: int = FIRST_N_PACKETS) -> np.nd
     Only the first ``n`` packets contribute per-packet features; the
     aggregate statistics are likewise computed over those packets (the
     classifier must decide before the event completes — §3.3's command
-    duration argument).  A one-row call of :func:`events_to_matrix`.
+    duration argument).
     """
-    return _feature_block([event], n)[0]
+    return np.array(_feature_row(event, n), dtype=float)
 
 
 def events_to_matrix(
@@ -215,8 +186,11 @@ def events_to_matrix(
 ) -> np.ndarray:
     """Stack event feature vectors into a ``(n_events, 66)`` matrix."""
     if not events:
-        return np.empty((0, N_FEATURES))
-    return _feature_block(events, n)
+        return np.empty((0, 12 * n + 6))
+    rows = [_feature_row(event, n) for event in events]
+    # One pass over all values: ~30 % faster than np.array over the row lists.
+    values = np.fromiter(itertools.chain.from_iterable(rows), float, len(rows) * len(rows[0]))
+    return values.reshape(len(rows), -1)
 
 
 def event_sequences(
@@ -229,17 +203,16 @@ def event_sequences(
     previous packet (0 for the first), for up to ``n`` leading packets.
     Consumed by :class:`repro.ml.SimpleRNNClassifier`.
     """
-    block, counts = _head_block(events, n)
     sequences: List[np.ndarray] = []
-    for rows, count in zip(block, counts):
-        if count == 0:
+    for event in events:
+        head = event.first_n(n)
+        if not head:
             sequences.append(np.empty(0))
             continue
-        sequence = rows[:count].copy()
-        timestamps = rows[:count, _PACKET_COLUMNS]
-        sequence[0, _PACKET_COLUMNS] = 0.0
-        sequence[1:, _PACKET_COLUMNS] = timestamps[1:] - timestamps[:-1]
-        sequences.append(sequence)
+        times = [packet.timestamp for packet in head]
+        gaps = [0.0] + [later - earlier for earlier, later in zip(times, times[1:])]
+        rows = [(*_packet_columns(packet), gap) for packet, gap in zip(head, gaps)]
+        sequences.append(np.array(rows, dtype=float))
     return sequences
 
 

@@ -148,11 +148,17 @@ class FleetSpec:
 
         Homes missing a ``seed`` get the canonical derived one; homes
         carrying a seed keep it verbatim (a spec file is authoritative).
+        A document that is not an object with a ``homes`` list of objects
+        raises ``ValueError``.
         """
         data = json.loads(text)
+        if not isinstance(data, dict) or not isinstance(data.get("homes"), list):
+            raise ValueError('a fleet spec is a JSON object with a "homes" list')
         fleet_seed = int(data.get("seed", 0))
         homes = []
-        for entry in data.get("homes", []):
+        for entry in data["homes"]:
+            if not isinstance(entry, dict):
+                raise ValueError(f"a fleet spec home is a JSON object, got {entry!r}")
             entry = dict(entry)
             entry.setdefault("seed", home_seed(fleet_seed, str(entry.get("home_id"))))
             homes.append(HomeSpec.from_dict(entry))

@@ -228,15 +228,47 @@ def test_fleet_watch_requires_state_dir(capsys):
         ["--machines", "0"],
         ["--machines", "-1"],
         ["--homes", "1", "--timeout", "-1"],
+        ["--spec", "not-a-spec.json"],
+        ["--spec", "homes-not-a-list.json"],
+        ["--spec", "no-homes.json"],
+        ["--spec", "no-homes.jsonl"],
     ],
-    ids=["homes-0", "missing-spec", "machines-0", "machines-negative", "timeout-negative"],
+    ids=[
+        "homes-0", "missing-spec", "machines-0", "machines-negative", "timeout-negative",
+        "spec-not-a-fleet", "spec-homes-not-a-list", "spec-no-homes", "jsonl-spec-no-homes",
+    ],
 )
 def test_fleet_rejects_bad_input(tmp_path, monkeypatch, capsys, argv):
     """Bad fleet input is one ``fleet: …`` line and exit 2, not a traceback."""
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "not-a-spec.json").write_text('{"x": 1}')
+    (tmp_path / "homes-not-a-list.json").write_text('{"homes": {"home_id": "h"}}')
+    (tmp_path / "no-homes.json").write_text('{"name": "f", "seed": 0, "homes": []}')
+    (tmp_path / "no-homes.jsonl").write_text('{"fleet": {"name": "f", "seed": 0}}\n')
     assert main(["fleet", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("fleet: ") and captured.err.count("\n") == 1
+    assert not captured.out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["missing.json"],
+        ["not-json.json"],
+        ["--audit", "missing.jsonl", "--trace-id", "proof-x"],
+        ["snapshot.json", "--audit", "missing.jsonl"],
+    ],
+    ids=["missing-snapshot", "unreadable-snapshot", "missing-audit", "snapshot-missing-audit"],
+)
+def test_obs_report_rejects_bad_files(tmp_path, monkeypatch, capsys, argv):
+    """A missing or unreadable input is one ``obs-report: …`` line and exit 2."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "not-json.json").write_text("{not json")
+    (tmp_path / "snapshot.json").write_text('{"counters": {}, "gauges": {}, "histograms": {}}')
+    assert main(["obs-report", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("obs-report: ") and captured.err.count("\n") == 1
     assert not captured.out
 
 

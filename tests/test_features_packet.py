@@ -124,6 +124,7 @@ class TestMatrixAndLabels:
 
     def test_empty_matrix(self):
         assert events_to_matrix([]).shape == (0, 66)
+        assert events_to_matrix([], 3).shape == events_to_matrix([_event(3)], 3)[:0].shape
 
     def test_labels_three_way(self):
         events = [

@@ -84,6 +84,24 @@ class TestFleetSpec:
         spec = FleetSpec.from_json(json.dumps(document))
         assert spec.homes[0].seed == home_seed(4, "home-x")
 
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"x": 1},
+            {"name": "f", "seed": 1},
+            {"homes": {"home_id": "home-x", "devices": ["SP10"]}},
+            {"homes": ["home-x"]},
+            [{"home_id": "home-x", "devices": ["SP10"]}],
+        ],
+        ids=["no-homes-key", "header-only", "homes-object", "home-not-object", "top-level-list"],
+    )
+    def test_rejects_documents_that_are_not_fleet_specs(self, document):
+        with pytest.raises(ValueError, match="fleet spec"):
+            FleetSpec.from_json(json.dumps(document))
+
+    def test_empty_homes_list_is_an_empty_spec(self):
+        assert FleetSpec.from_json('{"homes": []}') == FleetSpec()
+
 
 class TestGenerateFleet:
     def test_deterministic(self):
