@@ -470,6 +470,7 @@ def cmd_fleet_merge(args: argparse.Namespace) -> int:
 def cmd_obs_report(args: argparse.Namespace) -> int:
     import os
 
+    from .fleet import CheckpointMismatch, load_latest_aggregate
     from .obs import load_snapshot, read_audit, render_report, render_trace
 
     agg = snapshot = None
@@ -479,12 +480,10 @@ def cmd_obs_report(args: argparse.Namespace) -> int:
             if os.path.isdir(args.snapshot):
                 # A fleet checkpoint state dir: render the latest compacted
                 # aggregate (works mid-run and after a kill — read-only).
-                from .fleet import load_latest_aggregate
-
                 agg = load_latest_aggregate(args.snapshot)
             else:
                 snapshot = load_snapshot(args.snapshot)
-    except (OSError, ValueError) as error:
+    except (OSError, ValueError, CheckpointMismatch) as error:
         print(f"obs-report: {error}", file=sys.stderr)
         return 2
     if args.trace_id:

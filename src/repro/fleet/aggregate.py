@@ -175,16 +175,9 @@ class FleetAggregator:
 
     STATE_FORMAT = 3
 
-    def __init__(
-        self,
-        name: str,
-        seed: int,
-        home_rows_cap: int = HOME_ROWS_CAP,
-        reservoir_cap: int = RESERVOIR_CAP,
-    ) -> None:
+    def __init__(self, name: str, seed: int) -> None:
         self.name = name
         self.seed = seed
-        self.home_rows_cap = home_rows_cap
         #: results folded so far (monotonic; checkpoint records carry it)
         self.epoch = 0
         self.n_ok = 0
@@ -194,7 +187,7 @@ class FleetAggregator:
         self.ok_rows: Dict[int, Dict[str, object]] = {}
         self.failed_rows: Dict[int, Dict[str, object]] = {}
         self.samples: Dict[str, SampleReservoir] = {
-            field_name: SampleReservoir(seed, field_name, reservoir_cap)
+            field_name: SampleReservoir(seed, field_name)
             for field_name in POPULATION_FIELDS
         }
         self.class_counts: Dict[str, Dict[str, int]] = {}
@@ -226,7 +219,7 @@ class FleetAggregator:
             self.failed_rows[idx] = result.to_dict()
             return
         self.n_ok += 1
-        if idx < self.home_rows_cap:
+        if idx < HOME_ROWS_CAP:
             self.ok_rows[idx] = result.to_dict()
         else:
             self.n_ok_rows_dropped += 1
@@ -272,21 +265,14 @@ class FleetAggregator:
         }
 
     @classmethod
-    def from_state(
-        cls,
-        state: Dict[str, object],
-        name: str,
-        seed: int,
-        home_rows_cap: int = HOME_ROWS_CAP,
-        reservoir_cap: int = RESERVOIR_CAP,
-    ) -> "FleetAggregator":
+    def from_state(cls, state: Dict[str, object], name: str, seed: int) -> "FleetAggregator":
         """Inverse of :meth:`to_state`."""
         state_format = int(state.get("format", -1))
         if state_format not in (1, 2, cls.STATE_FORMAT):
             raise ValueError(
                 f"unsupported aggregator state format {state.get('format')!r}"
             )
-        agg = cls(name, seed, home_rows_cap=home_rows_cap, reservoir_cap=reservoir_cap)
+        agg = cls(name, seed)
         agg.epoch = int(state["epoch"])
         agg.n_ok = int(state["n_ok"])
         agg.n_failed = int(state["n_failed"])

@@ -17,9 +17,11 @@ durable with the same two primitives the crash-safe proxy uses
   :class:`~repro.fleet.aggregate.FleetAggregator` state is compacted
   into an atomic checksummed snapshot
   (:func:`repro.recovery.snapshot.write_snapshot`), the journal
-  rotates to a fresh segment, and epochs older than the fallback
-  window are deleted — so both replay time *and* disk stay bounded no
-  matter how long the run.
+  rotates to a fresh segment, and epochs older than the previous one
+  are deleted — so both replay time *and* disk stay bounded no matter
+  how long the run.  The epoch files are laid out, listed, read back
+  and pruned by :class:`~repro.recovery.snapshot.EpochStore`, the same
+  store (and the same two-epoch window) proxy recovery uses.
 
 Resume (``FleetRunner(resume=True)``) loads the newest valid snapshot,
 replays the journal records after it (CRC-bad frames and torn tails
@@ -28,6 +30,8 @@ truncated before new appends), and re-runs only the homes past the
 reconstructed prefix.  Every snapshot and journal segment carries the
 spec's SHA-256 digest: resuming against a *different* spec raises
 :class:`CheckpointMismatch` instead of silently merging populations.
+``fiat-repro obs-report <state_dir>`` reads the same prefix through the
+same reader, without a spec and without writing.
 """
 
 from __future__ import annotations
@@ -37,16 +41,19 @@ import json
 import logging
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 from ..recovery.journal import JournalWriter, read_journal
-from ..recovery.snapshot import read_snapshot, write_snapshot
+from ..recovery.snapshot import EpochStore, write_snapshot
+from .aggregate import FleetAggregator
+from .worker import HomeResult
 
 __all__ = [
     "CHECKPOINT_FORMAT",
     "CheckpointMismatch",
     "FleetCheckpoint",
     "ResumeState",
+    "intact_results",
     "load_latest_aggregate",
     "result_digest",
 ]
@@ -55,10 +62,6 @@ logger = logging.getLogger(__name__)
 
 #: Version of the fleet checkpoint container.
 CHECKPOINT_FORMAT = 1
-
-#: Snapshot/journal epochs retained for corruption fallback (current
-#: plus previous — the same window the proxy's RecoveryManager keeps).
-KEEP_EPOCHS = 2
 
 
 class CheckpointMismatch(RuntimeError):
@@ -69,6 +72,32 @@ def result_digest(result_dict: Dict[str, object]) -> str:
     """Stable SHA-256 digest of one home result's canonical encoding."""
     body = json.dumps(result_dict, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(body.encode("utf-8")).hexdigest()
+
+
+def intact_results(
+    records: Iterable[Dict[str, object]], where: str
+) -> Iterator[Dict[str, object]]:
+    """Yield result records up to the first whose body fails its own digest.
+
+    A record can pass its CRC frame and still not match the digest it
+    carries (or miss its ``idx``/``result``/``digest``): that is treated
+    like a torn frame, and nothing after it in the segment is trusted
+    (fail-closed).  Fleet resume and the distributed results journals
+    both read through this check.
+    """
+    for record in records:
+        try:
+            int(record["idx"])
+            intact = result_digest(record["result"]) == record["digest"]
+        except (KeyError, TypeError, ValueError):
+            intact = False
+        if not intact:
+            logger.warning(
+                "%s: result digest mismatch at idx %s; discarding the rest of the segment",
+                where, record.get("idx"),
+            )
+            return
+        yield record
 
 
 @dataclass
@@ -83,95 +112,103 @@ class ResumeState:
     records: List[Dict[str, object]] = field(default_factory=list)
     #: epoch whose snapshot seeded ``agg_state`` (0 = journal-only)
     snapshot_epoch: int = 0
+    #: the first checkpoint header read (snapshot, else journal)
+    header: Optional[Dict[str, object]] = None
 
     @property
     def empty(self) -> bool:
         """Whether there is nothing to resume from."""
         return self.agg_state is None and not self.records
 
-
-def _snapshot_path(state_dir: str, epoch: int) -> str:
-    return os.path.join(state_dir, f"fleet-snapshot-{epoch:08d}.json")
-
-
-def _journal_path(state_dir: str, epoch: int) -> str:
-    return os.path.join(state_dir, f"fleet-homes-{epoch:08d}.journal")
-
-
-def _list_epochs(state_dir: str, prefix: str, suffix: str) -> Tuple[int, ...]:
-    epochs = []
-    for name in os.listdir(state_dir):
-        if name.startswith(prefix) and name.endswith(suffix):
-            stem = name[len(prefix) : len(name) - len(suffix)]
-            if stem.isdigit():
-                epochs.append(int(stem))
-    return tuple(sorted(epochs))
+    def aggregator(self, name: str, seed: int) -> FleetAggregator:
+        """The aggregate this state reconstructs: snapshot, then the records."""
+        if self.agg_state is None:
+            agg = FleetAggregator(name, seed)
+        else:
+            agg = FleetAggregator.from_state(self.agg_state, name, seed)
+        for record in self.records:
+            agg.add(int(record["idx"]), HomeResult.from_dict(record["result"]))
+        return agg
 
 
-def load_latest_aggregate(state_dir: str):
+def _epoch_store(state_dir: str) -> EpochStore:
+    return EpochStore(state_dir, "fleet-snapshot-{:08d}.json", "fleet-homes-{:08d}.journal")
+
+
+def _read_prefix(store: EpochStore, check_header: Callable[[object, str], None]) -> ResumeState:
+    """The furthest trustworthy prefix of a state dir, read-only.
+
+    Snapshot selection is fail-soft (a corrupt newest snapshot falls
+    back to the previous epoch); every header read goes through
+    ``check_header``, which raises on a mismatch.  When snapshots were
+    written but none of the retained ones is readable, the folded
+    prefix cannot be rebuilt (older journal segments are compacted
+    away) and :class:`CheckpointMismatch` is raised.
+    """
+
+    def accept(epoch: int, document: Dict[str, object]) -> bool:
+        check_header(document.get("header"), f"snapshot epoch {epoch}")
+        return True
+
+    state = ResumeState()
+    state.snapshot_epoch, document = store.newest_snapshot(accept)
+    headers = []
+    snapshot_agg_epoch = -1
+    if document is not None:
+        headers.append(document.get("header"))
+        state.agg_state = document["agg"]
+        state.next_idx = int(document["next_idx"])
+        snapshot_agg_epoch = int(state.agg_state.get("epoch", 0))
+    elif store.snapshot_epochs():
+        raise CheckpointMismatch(
+            f"{store.directory}: every retained fleet snapshot is corrupt; "
+            "the run cannot be resumed — start fresh without --resume"
+        )
+
+    for epoch in store.journal_epochs():
+        if epoch < state.snapshot_epoch:
+            continue
+        read = read_journal(store.journal_path(epoch))
+        if read.torn:
+            logger.warning(
+                "fleet journal epoch %d torn (%s); keeping %d valid bytes",
+                epoch, read.torn_reason, read.valid_bytes,
+            )
+        homes = []
+        for record in read.records:
+            if record.get("kind") == "header":
+                check_header(record.get("header"), f"journal epoch {epoch}")
+                headers.append(record.get("header"))
+            elif record.get("kind") == "home":
+                if int(record.get("agg_epoch", 0)) > snapshot_agg_epoch:
+                    homes.append(record)  # else already folded into the snapshot
+        state.records.extend(intact_results(homes, f"fleet journal epoch {epoch}"))
+
+    if state.records:
+        state.next_idx = max(state.next_idx, max(int(r["idx"]) for r in state.records) + 1)
+    state.header = next((h for h in headers if isinstance(h, dict)), None)
+    return state
+
+
+def load_latest_aggregate(state_dir: str) -> FleetAggregator:
     """Read-only view of a fleet state dir's latest aggregate.
 
-    Reconstructs the same prefix a resume would (newest readable
-    snapshot plus the journal records after it) without requiring the
-    spec, without truncating torn tails, and without taking the writer
-    over — safe to call against a *running* fleet.  Used by
+    Reads the same prefix a resume would, through the same reader, but
+    without the spec, without truncating torn tails, and without taking
+    the writer over — safe to call against a *running* fleet.  Used by
     ``fiat-repro obs-report <state-dir>`` to render the merged metrics
     of a checkpointed (possibly in-flight, possibly killed) run.
 
-    Returns the reconstructed
-    :class:`~repro.fleet.aggregate.FleetAggregator`.  Raises
-    ``FileNotFoundError`` when the directory holds no checkpoint files.
+    Raises ``FileNotFoundError`` when the directory holds no checkpoint
+    files, and :class:`CheckpointMismatch` when snapshots exist but
+    none of them is readable.
     """
-    from .aggregate import FleetAggregator
-    from .worker import HomeResult
-
-    snapshot_epochs = _list_epochs(state_dir, "fleet-snapshot-", ".json")
-    journal_epochs = _list_epochs(state_dir, "fleet-homes-", ".journal")
-    if not snapshot_epochs and not journal_epochs:
+    store = _epoch_store(state_dir)
+    if not store.snapshot_epochs() and not store.journal_epochs():
         raise FileNotFoundError(f"{state_dir}: no fleet checkpoint files")
-
-    header: Optional[Dict[str, object]] = None
-    agg_state: Optional[Dict[str, object]] = None
-    snapshot_agg_epoch = -1
-    snapshot_epoch = 0
-    for epoch in reversed(snapshot_epochs):
-        document = read_snapshot(_snapshot_path(state_dir, epoch))
-        if document is None:  # corrupt: fall back, exactly like resume
-            continue
-        raw_header = document.get("header")
-        header = raw_header if isinstance(raw_header, dict) else None
-        agg_state = document["agg"]
-        snapshot_agg_epoch = int(agg_state.get("epoch", 0))
-        snapshot_epoch = epoch
-        break
-
-    records: List[Dict[str, object]] = []
-    for epoch in journal_epochs:
-        if epoch < snapshot_epoch:
-            continue
-        for record in read_journal(_journal_path(state_dir, epoch)).records:
-            kind = record.get("kind")
-            if kind == "header" and header is None:
-                raw_header = record.get("header")
-                header = raw_header if isinstance(raw_header, dict) else None
-            if kind != "home":
-                continue
-            if int(record.get("agg_epoch", 0)) <= snapshot_agg_epoch:
-                continue  # already folded into the snapshot
-            if result_digest(record["result"]) != record.get("digest"):
-                break  # fail-closed past a digest mismatch, like resume
-            records.append(record)
-
-    header = header or {}
-    name = str(header.get("name", "fleet"))
-    seed = int(header.get("seed", 0))
-    if agg_state is not None:
-        agg = FleetAggregator.from_state(agg_state, name, seed)
-    else:
-        agg = FleetAggregator(name, seed)
-    for record in sorted(records, key=lambda r: int(r.get("agg_epoch", 0))):
-        agg.add(int(record["idx"]), HomeResult.from_dict(record["result"]))
-    return agg
+    state = _read_prefix(store, lambda header, where: None)
+    header = state.header or {}
+    return state.aggregator(str(header.get("name", "fleet")), int(header.get("seed", 0)))
 
 
 class FleetCheckpoint:
@@ -194,6 +231,7 @@ class FleetCheckpoint:
             "spec_digest": spec_digest,
         }
         os.makedirs(state_dir, exist_ok=True)
+        self._store = _epoch_store(state_dir)
         self._epoch = 0
         self._writer: Optional[JournalWriter] = None
 
@@ -206,10 +244,7 @@ class FleetCheckpoint:
 
     def start_fresh(self) -> None:
         """Begin a brand-new run: wipe any prior checkpoint files."""
-        for epoch in self._snapshot_epochs():
-            os.unlink(_snapshot_path(self.state_dir, epoch))
-        for epoch in self._journal_epochs():
-            os.unlink(_journal_path(self.state_dir, epoch))
+        self._store.clear()
         self._epoch = 0
         self._open_writer(truncate_to=None)
 
@@ -224,71 +259,10 @@ class FleetCheckpoint:
         population.  Journal tails are truncated to their valid prefix
         before the writer reopens for append.
         """
-        state = ResumeState()
-        snapshot_agg_epoch = -1
-        for epoch in reversed(self._snapshot_epochs()):
-            document = read_snapshot(_snapshot_path(self.state_dir, epoch))
-            if document is None:  # corrupt/truncated: fall back one epoch
-                logger.warning("fleet snapshot epoch %d unreadable; falling back", epoch)
-                continue
-            self._check_header(document.get("header"), f"snapshot epoch {epoch}")
-            state.agg_state = document["agg"]
-            state.next_idx = int(document["next_idx"])
-            state.snapshot_epoch = epoch
-            snapshot_agg_epoch = int(document["agg"].get("epoch", 0))
-            break
-        else:
-            if self._snapshot_epochs():
-                # Snapshots were written but every retained epoch is
-                # unreadable: the folded prefix cannot be reconstructed
-                # (journal segments before the window are compacted
-                # away).  Resuming would silently drop homes — refuse.
-                raise CheckpointMismatch(
-                    f"{self.state_dir}: every retained fleet snapshot is "
-                    "corrupt; the run cannot be resumed — start fresh "
-                    "without --resume"
-                )
-
-        newest_journal = state.snapshot_epoch
-        for epoch in self._journal_epochs():
-            if epoch < state.snapshot_epoch:
-                continue
-            newest_journal = max(newest_journal, epoch)
-            path = _journal_path(self.state_dir, epoch)
-            read = read_journal(path)
-            if read.torn:
-                logger.warning(
-                    "fleet journal epoch %d torn (%s); keeping %d valid bytes",
-                    epoch, read.torn_reason, read.valid_bytes,
-                )
-            for record in read.records:
-                kind = record.get("kind")
-                if kind == "header":
-                    self._check_header(record.get("header"), f"journal epoch {epoch}")
-                    continue
-                if kind != "home":
-                    continue
-                if int(record.get("agg_epoch", 0)) <= snapshot_agg_epoch:
-                    continue  # already folded into the snapshot
-                if result_digest(record["result"]) != record.get("digest"):
-                    # CRC passed but the body does not match its own
-                    # digest: treat like corruption — trust nothing
-                    # past this record (fail-closed).
-                    logger.warning(
-                        "fleet journal epoch %d: result digest mismatch at idx %s; "
-                        "discarding the rest of the segment",
-                        epoch, record.get("idx"),
-                    )
-                    break
-                state.records.append(record)
-
-        if state.records:
-            state.next_idx = max(
-                state.next_idx, max(int(r["idx"]) for r in state.records) + 1
-            )
-        self._epoch = newest_journal
+        state = _read_prefix(self._store, self._check_header)
+        self._epoch = max([state.snapshot_epoch, *self._store.journal_epochs()])
         # Reopen the newest segment for append, torn tail cut off.
-        newest_path = _journal_path(self.state_dir, self._epoch)
+        newest_path = self._store.journal_path(self._epoch)
         if os.path.exists(newest_path):
             read = read_journal(newest_path)
             self._open_writer(truncate_to=read.valid_bytes)
@@ -330,20 +304,11 @@ class FleetCheckpoint:
         """
         self._epoch += 1
         write_snapshot(
-            _snapshot_path(self.state_dir, self._epoch),
+            self._store.snapshot_path(self._epoch),
             {"header": self.header, "next_idx": int(next_idx), "agg": agg_state},
         )
         self._open_writer(truncate_to=None)
-        # Keep the newest KEEP_EPOCHS snapshots and the journal segments
-        # that replay on top of them; journal e-1's records are already
-        # inside snapshot e, so everything below the window can go.
-        keep_from = self._epoch - (KEEP_EPOCHS - 1)
-        for epoch in self._snapshot_epochs():
-            if epoch < keep_from:
-                os.unlink(_snapshot_path(self.state_dir, epoch))
-        for epoch in self._journal_epochs():
-            if epoch < keep_from:
-                os.unlink(_journal_path(self.state_dir, epoch))
+        self._store.prune(self._epoch)
 
     def close(self) -> None:
         """Flush and close the journal writer (idempotent)."""
@@ -359,16 +324,10 @@ class FleetCheckpoint:
 
     # -- internals ---------------------------------------------------------------
 
-    def _snapshot_epochs(self) -> Tuple[int, ...]:
-        return _list_epochs(self.state_dir, "fleet-snapshot-", ".json")
-
-    def _journal_epochs(self) -> Tuple[int, ...]:
-        return _list_epochs(self.state_dir, "fleet-homes-", ".journal")
-
     def _open_writer(self, truncate_to: Optional[int]) -> None:
         if self._writer is not None:
             self._writer.close()
-        path = _journal_path(self.state_dir, self._epoch)
+        path = self._store.journal_path(self._epoch)
         fresh = not os.path.exists(path) or truncate_to == 0
         self._writer = JournalWriter(path, fsync=self.fsync, truncate_to=truncate_to)
         if fresh or self._writer.size_bytes == 0:
@@ -376,7 +335,7 @@ class FleetCheckpoint:
             # even when no snapshot was ever written.
             self._writer.append({"kind": "header", "header": self.header})
 
-    def _check_header(self, header: Optional[Dict[str, object]], where: str) -> None:
+    def _check_header(self, header: object, where: str) -> None:
         if not isinstance(header, dict):
             raise CheckpointMismatch(f"{where}: checkpoint header missing")
         for key in ("format", "name", "seed", "spec_digest"):

@@ -36,9 +36,10 @@ Per-machine checkpoints
 The coordinator ledger
     All coordination state (leases, revocations, accepted and rejected
     submissions, folded ranges) lives in ``coordinator.journal``, the
-    same CRC32 framing as :mod:`repro.recovery.journal`, with rotating
-    aggregator snapshots beside it.  SIGKILL the coordinator at any
-    point and ``resume=True`` reconstructs exactly: completed ranges
+    same CRC32 framing as :mod:`repro.recovery.journal`, with aggregator
+    snapshots beside it, numbered by ranges folded and pruned to the
+    two-epoch window of :class:`~repro.recovery.snapshot.EpochStore`.
+    SIGKILL the coordinator at any point and ``resume=True`` reconstructs exactly: completed ranges
     are not re-run, in-flight leases are adopted (their machines keep
     running as orphans and their submissions are still accepted), and
     the fold order — spec order, range by range — is replayed
@@ -69,10 +70,10 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..faults.plan import MachineFault
 from ..recovery.journal import JournalWriter, read_journal
-from ..recovery.snapshot import read_snapshot, write_snapshot
+from ..recovery.snapshot import EpochStore, read_snapshot, write_snapshot
 from ..util import spawn_seed
 from .aggregate import FleetAggregator, FleetReport
-from .checkpoint import CheckpointMismatch, result_digest
+from .checkpoint import CheckpointMismatch, intact_results, result_digest
 from .runner import KILL_AFTER_ENV, FleetRunner
 from .spec import FleetSpec, HomeSpec, JsonlSpecStream, SpecStream, open_spec, write_spec_jsonl
 from .telemetry import TelemetryWriter, load_frames
@@ -116,6 +117,8 @@ MACHINE_CHANNEL = "machine.jsonl"
 LEDGER_NAME = "coordinator.journal"
 #: How often a partitioned (``drop``) machine re-reads the ledger for its revoke.
 REVOKE_POLL_S = 0.05
+#: How often the coordinator polls leases, submissions and the launch queue.
+POLL_INTERVAL_S = 0.1
 
 #: The materialised spec copy machines read, under the state dir.
 SPEC_COPY_NAME = "spec.jsonl"
@@ -124,8 +127,16 @@ LEDGER_FORMAT = 1
 SUBMIT_FORMAT = 1
 PAYLOAD_FORMAT = 1
 
-#: Coordinator aggregator snapshots kept on disk (rotating).
-KEEP_SNAPSHOTS = 2
+#: Coordinator aggregator snapshots, numbered by the ranges folded so far.
+COORDINATOR_SNAPSHOT = "coordinator-snapshot-{:04d}.json"
+#: Per-lease-epoch entries of a range dir: the submission is the epoch's
+#: snapshot and the results log its journal; payload, log and telemetry
+#: dir sit beside them.
+SUBMIT_FILE = "submit-{:04d}.json"
+RESULTS_JOURNAL = "results-{:04d}.journal"
+PAYLOAD_FILE = "machine-{:04d}.json"
+LOG_FILE = "machine-{:04d}.log"
+TELEMETRY_DIR = "telemetry-{:04d}"
 
 
 class DistribError(RuntimeError):
@@ -287,42 +298,9 @@ def range_dir_name(range_index: int) -> str:
     return f"range-{range_index:04d}"
 
 
-def _results_path(range_dir: str, epoch: int) -> str:
-    return os.path.join(range_dir, f"results-{epoch:04d}.journal")
-
-
-def _submit_path(range_dir: str, epoch: int) -> str:
-    return os.path.join(range_dir, f"submit-{epoch:04d}.json")
-
-
-def _payload_path(range_dir: str, epoch: int) -> str:
-    return os.path.join(range_dir, f"machine-{epoch:04d}.json")
-
-
-def _log_path(range_dir: str, epoch: int) -> str:
-    return os.path.join(range_dir, f"machine-{epoch:04d}.log")
-
-
-def _epoch_telemetry_dir(range_dir: str, epoch: int) -> str:
-    return os.path.join(range_dir, f"telemetry-{epoch:04d}")
-
-
-def _list_epochs(directory: str, prefix: str, suffix: str) -> List[int]:
-    """Epoch numbers of ``<prefix><epoch><suffix>`` entries, ascending."""
-    try:
-        names = os.listdir(directory)
-    except OSError:
-        return []
-    epochs = []
-    for name in names:
-        if not (name.startswith(prefix) and name.endswith(suffix)):
-            continue
-        core = name[len(prefix):len(name) - len(suffix)] if suffix else name[len(prefix):]
-        try:
-            epochs.append(int(core))
-        except ValueError:
-            continue
-    return sorted(epochs)
+def range_store(range_dir: str) -> EpochStore:
+    """The lease-epoch files of one range dir (submissions and results logs)."""
+    return EpochStore(range_dir, SUBMIT_FILE, RESULTS_JOURNAL)
 
 
 def read_range_results(
@@ -340,21 +318,14 @@ def read_range_results(
     """
     results: Dict[int, Dict[str, object]] = {}
     digests: Dict[int, str] = {}
-    for epoch in _list_epochs(range_dir, "results-", ".journal"):
-        for record in read_journal(_results_path(range_dir, epoch)).records:
-            try:
-                idx = int(record["idx"])
-                body = record["result"]
-                claimed = str(record["digest"])
-            except (KeyError, TypeError, ValueError):
+    store = range_store(range_dir)
+    for epoch in store.journal_epochs():
+        records = read_journal(store.journal_path(epoch)).records
+        for record in intact_results(records, f"range {range_dir} epoch {epoch}"):
+            idx, body, claimed = int(record["idx"]), record["result"], str(record["digest"])
+            if not start <= idx < stop:
                 logger.warning(
-                    "range %s epoch %d: malformed results record; "
-                    "ignoring the journal tail", range_dir, epoch,
-                )
-                break
-            if not (start <= idx < stop) or result_digest(body) != claimed:
-                logger.warning(
-                    "range %s epoch %d: invalid record for home %d; "
+                    "range %s epoch %d: home %d is outside the range; "
                     "ignoring the journal tail", range_dir, epoch, idx,
                 )
                 break
@@ -425,10 +396,10 @@ def machine_telemetry_dirs(state_dir: str) -> List[str]:
     for name in names:
         if not name.startswith("range-"):
             continue
-        range_dir = os.path.join(state_dir, name)
-        epochs = _list_epochs(range_dir, "telemetry-", "")
+        store = range_store(os.path.join(state_dir, name))
+        epochs = store.epochs(TELEMETRY_DIR)
         if epochs:
-            dirs.append(_epoch_telemetry_dir(range_dir, epochs[-1]))
+            dirs.append(store.path(TELEMETRY_DIR, epochs[-1]))
     return dirs
 
 
@@ -566,6 +537,7 @@ def run_machine(payload: Dict[str, object]) -> int:
     epoch = int(payload["epoch"])
     range_dir = str(payload["range_dir"])
     os.makedirs(range_dir, exist_ok=True)
+    store = range_store(range_dir)
 
     faults = [MachineFault.from_dict(f) for f in payload.get("faults", [])]
     armed = next((f for f in faults if f.epoch == epoch), None)
@@ -573,7 +545,7 @@ def run_machine(payload: Dict[str, object]) -> int:
     prior = read_range_results(range_dir, start, stop)
     next_idx = covered_prefix(prior, start, stop)
 
-    telemetry_dir = _epoch_telemetry_dir(range_dir, epoch)
+    telemetry_dir = store.path(TELEMETRY_DIR, epoch)
     heartbeat = _MachineHeartbeat(
         telemetry_dir,
         range_index,
@@ -601,7 +573,7 @@ def run_machine(payload: Dict[str, object]) -> int:
             if runner_box[0] is not None:
                 runner_box[0].mute_telemetry()
 
-    log = JournalWriter(_results_path(range_dir, epoch))
+    log = JournalWriter(store.journal_path(epoch))
     folded_here = 0
 
     def on_result(local_idx: int, result: HomeResult) -> None:
@@ -648,7 +620,7 @@ def run_machine(payload: Dict[str, object]) -> int:
             "spec_digest": source.digest,
             "n_results": stop - start,
         }
-        write_snapshot(_submit_path(range_dir, epoch), submission)
+        write_snapshot(store.snapshot_path(epoch), submission)
     finally:
         heartbeat.stop()
         log.close()
@@ -703,7 +675,6 @@ class DistribCoordinator:
         backoff_max_s: float = 2.0,
         lease_timeout_s: float = 15.0,
         heartbeat_interval_s: float = 0.5,
-        poll_interval_s: float = 0.1,
         max_leases_per_range: int = 6,
         lease_backoff_base_s: float = 0.2,
         lease_backoff_max_s: float = 2.0,
@@ -732,7 +703,6 @@ class DistribCoordinator:
         self.backoff_max_s = backoff_max_s
         self.lease_timeout_s = lease_timeout_s
         self.heartbeat_interval_s = heartbeat_interval_s
-        self.poll_interval_s = poll_interval_s
         self.max_leases_per_range = max_leases_per_range
         self.lease_backoff_base_s = lease_backoff_base_s
         self.lease_backoff_max_s = lease_backoff_max_s
@@ -753,6 +723,7 @@ class DistribCoordinator:
         self._zombies: List[subprocess.Popen] = []
         self._folded_upto = 0
         self._agg: Optional[FleetAggregator] = None
+        self._snapshots = EpochStore(state_dir, COORDINATOR_SNAPSHOT)
         self._kill_after = 0
 
     # -- public API --------------------------------------------------------------
@@ -784,7 +755,7 @@ class DistribCoordinator:
                 self._check_active(now)
                 self._scan_submissions()
                 self._launch(now)
-                time.sleep(self.poll_interval_s)
+                time.sleep(POLL_INTERVAL_S)
         finally:
             self._shutdown()
         assert self._agg is not None
@@ -798,13 +769,12 @@ class DistribCoordinator:
     def _start_fresh(self, ledger_path: str) -> None:
         # Wipe any previous distributed state: mixing two runs' range
         # dirs would be an invitation to fold foreign results.
+        self._snapshots.clear()
         for name in os.listdir(self.state_dir):
             path = os.path.join(self.state_dir, name)
             if name.startswith("range-") and os.path.isdir(path):
                 shutil.rmtree(path)
-            elif name == LEDGER_NAME or name.startswith("coordinator-snapshot-"):
-                os.remove(path)
-            elif name == SPEC_COPY_NAME:
+            elif name in (LEDGER_NAME, SPEC_COPY_NAME):
                 os.remove(path)
         n_homes = int(self.source.n_homes or 0)
         write_spec_jsonl(
@@ -891,22 +861,17 @@ class DistribCoordinator:
         # Newest valid aggregator snapshot wins; ranges folded into the
         # aggregate after that snapshot are re-folded from their range
         # dirs (cheap — the results are on disk, nothing re-runs).
-        self._agg = None
-        self._folded_upto = 0
-        for folded in sorted(self._snapshot_epochs(), reverse=True):
-            state = read_snapshot(self._snapshot_path(folded))
-            if state is None:
-                continue
-            if str(state.get("spec_digest")) != str(header["spec_digest"]):
-                continue
+        folded, state = self._snapshots.newest_snapshot(
+            lambda _folded, state: str(state.get("spec_digest")) == str(header["spec_digest"])
+        )
+        if state is None:
+            self._agg = FleetAggregator(self.source.name, self.source.seed)
+            self._folded_upto = 0
+        else:
             self._agg = FleetAggregator.from_state(
                 state["agg"], self.source.name, self.source.seed
             )
             self._folded_upto = int(state.get("folded_upto", folded))
-            break
-        if self._agg is None:
-            self._agg = FleetAggregator(self.source.name, self.source.seed)
-            self._folded_upto = 0
         if ledger_folded > self._folded_upto:
             logger.info(
                 "resume: re-folding ranges %d..%d from disk (snapshot lag)",
@@ -964,16 +929,8 @@ class DistribCoordinator:
 
     # -- folding -----------------------------------------------------------------
 
-    def _range_dir(self, range_index: int) -> str:
-        return os.path.join(self.state_dir, range_dir_name(range_index))
-
-    def _snapshot_path(self, folded_upto: int) -> str:
-        return os.path.join(
-            self.state_dir, f"coordinator-snapshot-{folded_upto:04d}.json"
-        )
-
-    def _snapshot_epochs(self) -> List[int]:
-        return _list_epochs(self.state_dir, "coordinator-snapshot-", ".json")
+    def _range(self, range_index: int) -> EpochStore:
+        return range_store(os.path.join(self.state_dir, range_dir_name(range_index)))
 
     def _fold_ready(self) -> None:
         # Spec order is the fold order: range k folds only after every
@@ -988,13 +945,13 @@ class DistribCoordinator:
     def _fold_range(self, range_index: int) -> None:
         assert self._agg is not None and self._ledger is not None
         epoch = self._done[range_index]
-        range_dir = self._range_dir(range_index)
-        submission = read_snapshot(_submit_path(range_dir, epoch))
+        store = self._range(range_index)
+        submission = read_snapshot(store.snapshot_path(epoch))
         error = self._submission_error(submission, range_index, epoch)
         if error:
             raise SubmissionMismatch(f"range {range_index}: {error}")
         start, stop = self.ranges[range_index]
-        _fold_range_results(self._agg, range_dir, start, stop, f"range {range_index}")
+        _fold_range_results(self._agg, store.directory, start, stop, f"range {range_index}")
         self._ledger.append({"kind": "folded", "range": range_index}, sync=True)
         self._folded_upto = range_index + 1
         self.stats["ranges_folded"] += 1
@@ -1011,18 +968,14 @@ class DistribCoordinator:
     def _write_snapshot(self) -> None:
         assert self._agg is not None
         write_snapshot(
-            self._snapshot_path(self._folded_upto),
+            self._snapshots.snapshot_path(self._folded_upto),
             {
                 "spec_digest": self._header["spec_digest"],
                 "folded_upto": self._folded_upto,
                 "agg": self._agg.to_state(),
             },
         )
-        for folded in self._snapshot_epochs()[:-KEEP_SNAPSHOTS]:
-            try:
-                os.remove(self._snapshot_path(folded))
-            except OSError:  # pragma: no cover - best-effort pruning
-                pass
+        self._snapshots.prune(self._folded_upto)
 
     def _submission_error(
         self, submission: Optional[Dict[str, object]], range_index: int, epoch: int
@@ -1058,8 +1011,8 @@ class DistribCoordinator:
     def _check_active(self, now: float) -> None:
         for r in sorted(self._active):
             lease = self._active[r]
-            range_dir = self._range_dir(r)
-            submission = read_snapshot(_submit_path(range_dir, lease.epoch))
+            store = self._range(r)
+            submission = read_snapshot(store.snapshot_path(lease.epoch))
             if submission is not None:
                 error = self._submission_error(submission, r, lease.epoch)
                 if error is None:
@@ -1073,7 +1026,7 @@ class DistribCoordinator:
                     r, lease, f"machine-exit rc={lease.proc.returncode}", now
                 )
                 continue
-            alive_t = newest_frame_t(_epoch_telemetry_dir(range_dir, lease.epoch))
+            alive_t = newest_frame_t(store.path(TELEMETRY_DIR, lease.epoch))
             if lease_expired(lease.granted_at, alive_t, self.lease_timeout_s, now):
                 self._revoke(r, lease, "lease-expired", now)
 
@@ -1141,10 +1094,9 @@ class DistribCoordinator:
     def _scan_submissions(self) -> None:
         """Fence off-protocol submissions: zombies, duplicates, stale epochs."""
         for r in range(len(self.ranges)):
-            range_dir = self._range_dir(r)
             lease = self._active.get(r)
             revoked_epochs = {e for (rr, e) in self._revoked if rr == r}
-            for epoch in _list_epochs(range_dir, "submit-", ".json"):
+            for epoch in self._range(r).snapshot_epochs():
                 if (r, epoch) in self._rejected:
                     continue
                 if lease is not None and epoch == lease.epoch:
@@ -1181,7 +1133,8 @@ class DistribCoordinator:
     def _grant(self, range_index: int, epoch: int, now: float) -> None:
         assert self._ledger is not None
         start, stop = self.ranges[range_index]
-        range_dir = self._range_dir(range_index)
+        store = self._range(range_index)
+        range_dir = store.directory
         os.makedirs(range_dir, exist_ok=True)
         payload = {
             "format": PAYLOAD_FORMAT,
@@ -1206,7 +1159,7 @@ class DistribCoordinator:
                 if fault.range_index == range_index
             ],
         }
-        payload_path = _payload_path(range_dir, epoch)
+        payload_path = store.path(PAYLOAD_FILE, epoch)
         with open(payload_path, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
         # Write-ahead: the lease is durable before the machine exists,
@@ -1227,7 +1180,7 @@ class DistribCoordinator:
         env["PYTHONPATH"] = (
             src_root + os.pathsep + existing if existing else src_root
         )
-        log_handle = open(_log_path(range_dir, epoch), "ab")
+        log_handle = open(store.path(LOG_FILE, epoch), "ab")
         proc = subprocess.Popen(
             [self.python, "-m", "repro.fleet.distrib", payload_path],
             stdout=log_handle,
@@ -1251,9 +1204,8 @@ def _expand_range_dirs(paths: Sequence[str]) -> List[str]:
     """Resolve CLI paths to range dirs (a coordinator dir expands)."""
     range_dirs: List[str] = []
     for path in paths:
-        if _list_epochs(path, "submit-", ".json") or _list_epochs(
-            path, "results-", ".journal"
-        ):
+        store = range_store(path)
+        if store.snapshot_epochs() or store.journal_epochs():
             range_dirs.append(path)
             continue
         children = sorted(
@@ -1280,19 +1232,16 @@ def merge_range_dirs(paths: Sequence[str]) -> FleetReport:
     fail-closed: a gap, an overlap, a header mismatch between dirs, or
     an incomplete results log raises :class:`SubmissionMismatch`.
     """
+
+    def known_format(_epoch: int, submission: Dict[str, object]) -> bool:
+        try:
+            return int(submission["format"]) == SUBMIT_FORMAT
+        except (KeyError, TypeError, ValueError):
+            return False
+
     entries: List[Tuple[str, Dict[str, object]]] = []
     for range_dir in _expand_range_dirs(paths):
-        chosen: Optional[Dict[str, object]] = None
-        for epoch in sorted(_list_epochs(range_dir, "submit-", ".json"), reverse=True):
-            submission = read_snapshot(_submit_path(range_dir, epoch))
-            if submission is None:
-                continue
-            try:
-                if int(submission["format"]) == SUBMIT_FORMAT:
-                    chosen = submission
-                    break
-            except (KeyError, TypeError, ValueError):
-                continue
+        _, chosen = range_store(range_dir).newest_snapshot(known_format)
         if chosen is None:
             raise SubmissionMismatch(f"{range_dir}: no valid range submission")
         entries.append((range_dir, chosen))

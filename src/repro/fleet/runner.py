@@ -229,12 +229,7 @@ class FleetRunner:
             )
             if self.resume:
                 state = checkpoint.load()
-                if state.agg_state is not None:
-                    agg = FleetAggregator.from_state(
-                        state.agg_state, self.source.name, self.source.seed
-                    )
-                for record in state.records:
-                    agg.add(int(record["idx"]), HomeResult.from_dict(record["result"]))
+                agg = state.aggregator(self.source.name, self.source.seed)
                 self._next_idx = state.next_idx
                 if state.next_idx:
                     logger.info(

@@ -240,32 +240,45 @@ class JsonlSpecStream(SpecStream):
         with open(path, "rb") as handle:
             header_line = handle.readline()
             digest.update(header_line)
+            try:
+                header = json.loads(header_line.decode("utf-8"))["fleet"]
+            except (ValueError, KeyError, UnicodeDecodeError) as error:
+                raise ValueError(
+                    f"{path}: first line must be a {{\"fleet\": …}} header ({error})"
+                ) from error
+            self.name = str(header.get("name", "fleet"))
+            self.seed = int(header.get("seed", 0))
             n_homes = 0
-            for chunk in iter(lambda: handle.read(1 << 20), b""):
-                digest.update(chunk)
-                n_homes += chunk.count(b"\n")
-        try:
-            header = json.loads(header_line.decode("utf-8"))["fleet"]
-        except (ValueError, KeyError, UnicodeDecodeError) as error:
-            raise ValueError(
-                f"{path}: first line must be a {{\"fleet\": …}} header ({error})"
-            ) from error
-        self.name = str(header.get("name", "fleet"))
-        self.seed = int(header.get("seed", 0))
+            # The digest pass also validates every home line, so a bad
+            # line fails here with its number, not mid-run.
+            for number, line in enumerate(handle, start=2):
+                digest.update(line)
+                n_homes += line.endswith(b"\n")
+                try:
+                    self._parse(line)
+                except (TypeError, ValueError) as error:
+                    raise ValueError(f"{path}: line {number}: {error}") from None
         declared = header.get("n_homes")
         self.n_homes = int(declared) if declared is not None else n_homes
         self.digest = digest.hexdigest()
+
+    def _parse(self, line: "str | bytes") -> Optional[HomeSpec]:
+        """One home line as a :class:`HomeSpec`; ``None`` for a blank line."""
+        if not line.strip():
+            return None
+        entry = json.loads(line)
+        if not isinstance(entry, dict):
+            raise ValueError(f"a fleet spec home is a JSON object, got {entry!r}")
+        entry.setdefault("seed", home_seed(self.seed, str(entry.get("home_id"))))
+        return HomeSpec.from_dict(entry)
 
     def iter_homes(self) -> Iterator[HomeSpec]:
         with open(self.path, "r", encoding="utf-8") as handle:
             handle.readline()  # header
             for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                entry = json.loads(line)
-                entry.setdefault("seed", home_seed(self.seed, str(entry.get("home_id"))))
-                yield HomeSpec.from_dict(entry)
+                home = self._parse(line)
+                if home is not None:
+                    yield home
 
 
 def open_spec(path: str) -> SpecStream:

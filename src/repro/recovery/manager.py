@@ -7,13 +7,16 @@
   applied;
 * every ``snapshot_interval_s`` of simulated time the full state
   (``FiatProxy.snapshot()`` + ``HumanValidationService.to_state()``) is
-  written as an atomic snapshot and the journal is compacted — older
-  epochs are deleted once the new snapshot is durable;
+  written as an atomic snapshot and the journal is compacted — once the
+  new snapshot is durable, epochs older than the previous one are
+  deleted (:class:`~repro.recovery.snapshot.EpochStore`'s two-epoch
+  window);
 * after a crash, :meth:`recover` builds a fresh proxy stack (via the
   injected factory — code, trained models and TEE keys survive a process
-  death on their own), loads the newest valid snapshot, replays the
-  journal's valid prefix through it, truncates any torn tail, and
-  reconciles events left open by the crash fail-closed.
+  death on their own), loads the newest valid snapshot (the previous
+  epoch's when the newest is corrupt), replays the journal's valid
+  prefix through it, truncates any torn tail, and reconciles events left
+  open by the crash fail-closed.
 
 Replay is deterministic: the journal holds raw inputs with their
 simulated arrival times, and every consumer of randomness in the stack
@@ -31,7 +34,7 @@ from typing import Callable, Dict, Optional, Tuple
 from ..net.packet import Packet
 from ..obs import NULL_OBS, Observability
 from .journal import JournalWriter, read_journal
-from .snapshot import read_snapshot, write_snapshot
+from .snapshot import EpochStore, write_snapshot
 
 __all__ = ["RecoveryManager", "RecoveryReport"]
 
@@ -39,28 +42,6 @@ logger = logging.getLogger(__name__)
 
 #: Version of the combined stack-state schema written into snapshots.
 STACK_STATE_VERSION = 1
-
-
-def _journal_path(state_dir: str, epoch: int) -> str:
-    return os.path.join(state_dir, f"journal-{epoch:06d}.jsonl")
-
-
-def _snapshot_path(state_dir: str, epoch: int) -> str:
-    return os.path.join(state_dir, f"snapshot-{epoch:06d}.json")
-
-
-def _list_epochs(state_dir: str, prefix: str) -> Tuple[int, ...]:
-    epochs = []
-    if not os.path.isdir(state_dir):
-        return ()
-    for name in os.listdir(state_dir):
-        if name.startswith(prefix) and (name.endswith(".json") or name.endswith(".jsonl")):
-            stem = name[len(prefix) :].split(".", 1)[0]
-            try:
-                epochs.append(int(stem))
-            except ValueError:
-                continue
-    return tuple(sorted(epochs))
 
 
 @dataclass
@@ -116,6 +97,7 @@ class RecoveryManager:
         self.reconcile = reconcile
         self.obs = obs if obs is not None else NULL_OBS
         os.makedirs(state_dir, exist_ok=True)
+        self._store = EpochStore(state_dir, "snapshot-{:06d}.json", "journal-{:06d}.jsonl")
         self._proxy: Optional[object] = None
         self._validation: Optional[object] = None
         self._epoch = 0
@@ -147,13 +129,10 @@ class RecoveryManager:
         the replay cache).  Worse, once the counter caught up the writer
         would append into the old journal file, mixing segments.
         """
-        self._epoch = max(
-            (
-                self._epoch,
-                *_list_epochs(self.state_dir, "snapshot-"),
-                *_list_epochs(self.state_dir, "journal-"),
-            )
-        )
+        self._epoch = max([self._epoch, *self._on_disk_epochs()])
+
+    def _on_disk_epochs(self) -> Tuple[int, ...]:
+        return (*self._store.snapshot_epochs(), *self._store.journal_epochs())
 
     def start(self, proxy: object, validation: object, now: float = 0.0) -> None:
         """Begin journaling a fresh stack: cut the initial snapshot epoch.
@@ -162,7 +141,7 @@ class RecoveryManager:
         silently overwrite an existing journal is what makes an
         accidental double-start recoverable.
         """
-        if _list_epochs(self.state_dir, "snapshot-") or _list_epochs(self.state_dir, "journal-"):
+        if self._on_disk_epochs():
             raise ValueError(
                 f"state dir {self.state_dir!r} already holds recovery state; "
                 "recover() from it or point at an empty directory"
@@ -188,7 +167,7 @@ class RecoveryManager:
         :meth:`JournalWriter.append`'s ``sync`` flag) are immune — a
         power cut cannot un-write what the disk acknowledged.
         """
-        path = _journal_path(self.state_dir, self._epoch)
+        path = self._store.journal_path(self._epoch)
         synced = self._writer.synced_bytes if self._writer is not None else 0
         self.close()
         self._proxy = None
@@ -261,20 +240,14 @@ class RecoveryManager:
         }
 
     def _rotate_epoch(self, now: float) -> None:
-        """Write snapshot-(e+1), open journal-(e+1), delete epoch e."""
-        previous = self._epoch
+        """Write snapshot-(e+1), open journal-(e+1), delete epoch e-1."""
         self._epoch += 1
-        n_bytes = write_snapshot(_snapshot_path(self.state_dir, self._epoch), self._stack_state(now))
+        n_bytes = write_snapshot(self._store.snapshot_path(self._epoch), self._stack_state(now))
         self.close()
-        self._writer = JournalWriter(_journal_path(self.state_dir, self._epoch), fsync=self.fsync)
+        self._writer = JournalWriter(self._store.journal_path(self._epoch), fsync=self.fsync)
         self._last_snapshot_t = now
-        # Compaction: the new snapshot subsumes every older epoch.
-        for epoch in _list_epochs(self.state_dir, "snapshot-"):
-            if epoch <= previous:
-                os.unlink(_snapshot_path(self.state_dir, epoch))
-        for epoch in _list_epochs(self.state_dir, "journal-"):
-            if epoch <= previous:
-                os.unlink(_journal_path(self.state_dir, epoch))
+        # Compaction: epoch e stays as the fallback for a corrupt snapshot e+1.
+        self._store.prune(self._epoch)
         self.obs.inc("recovery_snapshots_total")
         self.obs.gauge("recovery_snapshot_bytes", float(n_bytes))
         self.obs.gauge("recovery_journal_bytes", 0.0)
@@ -304,27 +277,33 @@ class RecoveryManager:
 
         Returns ``(proxy, validation, report)`` and re-attaches the
         manager to the recovered stack (journaling resumes in a fresh,
-        compacted epoch — the torn tail, if any, is permanently
-        discarded).  Corrupt snapshots fall back to the previous epoch;
-        a journal segment's corrupt tail ends replay (fail-closed: record
-        order past a bad frame cannot be trusted).
+        compacted epoch — the torn tail, if any, is truncated away).
+        A corrupt snapshot falls back to the previous epoch's snapshot
+        plus both journals; with no readable snapshot the journals are
+        replayed from a cold start, which is only sound while epoch 1 is
+        still on disk — past that, ``ValueError`` (fail-closed: a partial
+        replay would forget consumed proofs).  A journal segment's
+        corrupt tail ends replay (record order past a bad frame cannot
+        be trusted).
         """
         proxy, validation = self.factory()
         self._proxy = proxy
         self._validation = validation
         self._sync_epoch_to_disk()
 
-        snapshot_epoch = 0
-        state: Optional[Dict[str, object]] = None
-        for epoch in reversed(_list_epochs(self.state_dir, "snapshot-")):
-            state = read_snapshot(_snapshot_path(self.state_dir, epoch))
-            if state is not None:
-                if state.get("v") != STACK_STATE_VERSION:
-                    raise ValueError(
-                        f"unsupported stack state version: {state.get('v')!r}"
-                    )
-                snapshot_epoch = epoch
-                break
+        def supported(epoch: int, state: Dict[str, object]) -> bool:
+            if state.get("v") != STACK_STATE_VERSION:
+                raise ValueError(f"unsupported stack state version: {state.get('v')!r}")
+            return True
+
+        snapshot_epoch, state = self._store.newest_snapshot(supported)
+        on_disk = self._on_disk_epochs()
+        if state is None and on_disk and min(on_disk) > 1:
+            raise ValueError(
+                f"{self.state_dir}: no retained snapshot is readable and epochs "
+                f"before {min(on_disk)} were compacted away; the proxy state "
+                "cannot be rebuilt"
+            )
         horizon_t: Optional[float] = None
         if state is not None:
             proxy.restore(state["proxy"])  # type: ignore[attr-defined,arg-type]
@@ -334,10 +313,11 @@ class RecoveryManager:
         n_replayed = 0
         torn = False
         torn_bytes = 0
-        for epoch in _list_epochs(self.state_dir, "journal-"):
+        for epoch in self._store.journal_epochs():
             if epoch < snapshot_epoch:
                 continue
-            result = read_journal(_journal_path(self.state_dir, epoch))
+            path = self._store.journal_path(epoch)
+            result = read_journal(path)
             for record in result.records:
                 self._apply(proxy, record)
                 t = self._record_time(record)
@@ -346,9 +326,10 @@ class RecoveryManager:
                 n_replayed += 1
             if result.torn:
                 torn = True
-                torn_bytes += os.path.getsize(
-                    _journal_path(self.state_dir, epoch)
-                ) - result.valid_bytes
+                torn_bytes += os.path.getsize(path) - result.valid_bytes
+                # The segment stays on disk as the fallback epoch, so it
+                # must end where replay ended.
+                os.truncate(path, result.valid_bytes)
                 logger.warning(
                     "journal epoch %d has a torn tail (%s): %d byte(s) discarded",
                     epoch,

@@ -232,10 +232,13 @@ def test_fleet_watch_requires_state_dir(capsys):
         ["--spec", "homes-not-a-list.json"],
         ["--spec", "no-homes.json"],
         ["--spec", "no-homes.jsonl"],
+        ["--spec", "home-not-an-object.jsonl"],
+        ["--spec", "home-no-devices.jsonl"],
     ],
     ids=[
         "homes-0", "missing-spec", "machines-0", "machines-negative", "timeout-negative",
         "spec-not-a-fleet", "spec-homes-not-a-list", "spec-no-homes", "jsonl-spec-no-homes",
+        "jsonl-home-not-an-object", "jsonl-home-no-devices",
     ],
 )
 def test_fleet_rejects_bad_input(tmp_path, monkeypatch, capsys, argv):
@@ -245,6 +248,10 @@ def test_fleet_rejects_bad_input(tmp_path, monkeypatch, capsys, argv):
     (tmp_path / "homes-not-a-list.json").write_text('{"homes": {"home_id": "h"}}')
     (tmp_path / "no-homes.json").write_text('{"name": "f", "seed": 0, "homes": []}')
     (tmp_path / "no-homes.jsonl").write_text('{"fleet": {"name": "f", "seed": 0}}\n')
+    (tmp_path / "home-not-an-object.jsonl").write_text('{"fleet": {"name": "f", "seed": 0}}\n[1]\n')
+    (tmp_path / "home-no-devices.jsonl").write_text(
+        '{"fleet": {"name": "f", "seed": 0}}\n{"home_id": "h"}\n'
+    )
     assert main(["fleet", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("fleet: ") and captured.err.count("\n") == 1
@@ -258,14 +265,22 @@ def test_fleet_rejects_bad_input(tmp_path, monkeypatch, capsys, argv):
         ["not-json.json"],
         ["--audit", "missing.jsonl", "--trace-id", "proof-x"],
         ["snapshot.json", "--audit", "missing.jsonl"],
+        ["corrupt-state"],
     ],
-    ids=["missing-snapshot", "unreadable-snapshot", "missing-audit", "snapshot-missing-audit"],
+    ids=[
+        "missing-snapshot", "unreadable-snapshot", "missing-audit", "snapshot-missing-audit",
+        "fleet-state-every-snapshot-corrupt",
+    ],
 )
 def test_obs_report_rejects_bad_files(tmp_path, monkeypatch, capsys, argv):
     """A missing or unreadable input is one ``obs-report: …`` line and exit 2."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "not-json.json").write_text("{not json")
     (tmp_path / "snapshot.json").write_text('{"counters": {}, "gauges": {}, "histograms": {}}')
+    # A fleet state dir whose only snapshot is unreadable: the folded
+    # prefix is gone, so there is no aggregate to report (not an empty one).
+    (tmp_path / "corrupt-state").mkdir()
+    (tmp_path / "corrupt-state" / "fleet-snapshot-00000001.json").write_text("garbage")
     assert main(["obs-report", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("obs-report: ") and captured.err.count("\n") == 1

@@ -19,6 +19,7 @@ import signal
 import pytest
 
 from repro.fleet import (
+    CheckpointMismatch,
     FleetInterrupted,
     FleetRunner,
     FleetSpec,
@@ -297,6 +298,23 @@ class TestLoadLatestAggregate:
     def test_missing_state_dir_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_latest_aggregate(str(tmp_path / "nope"))
+
+    def test_every_snapshot_corrupt_raises_like_resume(self, tmp_path, finished_run):
+        """No readable snapshot means no folded prefix, not an empty fleet."""
+        import shutil
+
+        state_dir, spec, _ = finished_run
+        copy = str(tmp_path / "state")
+        shutil.copytree(state_dir, copy)
+        snapshots = [n for n in os.listdir(copy) if n.startswith("fleet-snapshot-")]
+        assert snapshots
+        for name in snapshots:
+            with open(os.path.join(copy, name), "w") as handle:
+                handle.write("garbage")
+        with pytest.raises(CheckpointMismatch):
+            load_latest_aggregate(copy)
+        with pytest.raises(CheckpointMismatch):
+            FleetRunner(spec, jobs=1, state_dir=copy, resume=True).run()
 
 
 class TestMonitorHardening:

@@ -193,8 +193,14 @@ class TestRecoveryManager:
             manager.journal_packet(make_packet(timestamp=t, device="SP10"))
             proxy.process(make_packet(timestamp=t, device="SP10"))
             manager.checkpoint(t)
+        # The newest epoch plus the one a corrupt snapshot falls back to.
         names = sorted(os.listdir(state_dir))
-        assert names == ["journal-000004.jsonl", "snapshot-000004.json"]
+        assert names == [
+            "journal-000003.jsonl",
+            "journal-000004.jsonl",
+            "snapshot-000003.json",
+            "snapshot-000004.json",
+        ]
 
     def test_corrupt_snapshot_falls_back_to_journal_replay(
         self, tmp_path, chaos_system
@@ -256,11 +262,98 @@ class TestRecoveryManager:
         assert recovered2.snapshot()["predictor"] == recovered.snapshot()["predictor"]
         assert recovered2.receive_auth(attempt.wire, 4.0) is None
         assert "replay" in rec_validation.receiver.rejections
-        # Only the newest epoch survives: the stale pair was compacted.
+        # Only the two newest epochs survive: the stale pair was compacted.
         assert sorted(os.listdir(state_dir)) == [
+            "journal-000002.jsonl",
             "journal-000003.jsonl",
+            "snapshot-000002.json",
             "snapshot-000003.json",
         ]
+
+    def _consume_proof_then_checkpoint(self, state_dir, chaos_system):
+        """Start, consume one proof, checkpoint at 2.0, journal a packet, crash."""
+        manager = RecoveryManager(state_dir, chaos_system.build_stack)
+        proxy, validation = chaos_system.build_stack()
+        manager.start(proxy, validation)
+        interaction = chaos_system.phone.interact("SP10", 1.0, human=True)
+        attempt = chaos_system.app.authenticate(interaction, 1.0)
+        manager.journal_auth(attempt.wire, 1.5)
+        proxy.receive_auth(attempt.wire, 1.5)
+        manager.checkpoint(2.0)
+        packet = make_packet(timestamp=3.0, device="SP10")
+        manager.journal_packet(packet)
+        proxy.process(packet)
+        manager.simulate_crash()
+        return attempt.wire
+
+    def test_corrupt_newest_snapshot_keeps_replay_window_closed(
+        self, tmp_path, chaos_system
+    ):
+        """A corrupt newest snapshot falls back one epoch, not to a cold start.
+
+        Replaying only the newest journal from a fresh stack would forget
+        the proof consumed before the checkpoint and accept it again.
+        """
+        state_dir = str(tmp_path / "state")
+        wire = self._consume_proof_then_checkpoint(state_dir, chaos_system)
+        with open(os.path.join(state_dir, "snapshot-000002.json"), "w") as handle:
+            handle.write("garbage")
+        fresh = RecoveryManager(state_dir, chaos_system.build_stack)
+        recovered, rec_validation, report = fresh.recover(restart_t=4.0)
+        assert report.snapshot_epoch == 1
+        assert report.n_replayed == 2  # the proof, then the packet
+        assert recovered.receive_auth(wire, 4.0) is None
+        assert "replay" in rec_validation.receiver.rejections
+
+    def test_no_readable_snapshot_after_compaction_refuses(
+        self, tmp_path, chaos_system
+    ):
+        """With epoch 1 compacted away, a cold start cannot rebuild the state."""
+        state_dir = str(tmp_path / "state")
+        manager = RecoveryManager(state_dir, chaos_system.build_stack)
+        proxy, validation = chaos_system.build_stack()
+        manager.start(proxy, validation)
+        manager.checkpoint(1.0)
+        manager.checkpoint(2.0)
+        manager.simulate_crash()
+        for name in os.listdir(state_dir):
+            if name.startswith("snapshot-"):
+                with open(os.path.join(state_dir, name), "w") as handle:
+                    handle.write("garbage")
+        fresh = RecoveryManager(state_dir, chaos_system.build_stack)
+        with pytest.raises(ValueError, match="no retained snapshot is readable"):
+            fresh.recover(restart_t=3.0)
+
+    def test_fallback_after_torn_recovery_keeps_later_journal(
+        self, tmp_path, chaos_system
+    ):
+        """A recovery truncates the torn tail of the epoch it keeps as fallback.
+
+        Otherwise a later fallback to that epoch would stop at the torn
+        frame and never replay the journal written after the recovery.
+        """
+        state_dir = str(tmp_path / "state")
+        manager = RecoveryManager(state_dir, chaos_system.build_stack)
+        proxy, validation = chaos_system.build_stack()
+        manager.start(proxy, validation)
+        packet = make_packet(timestamp=1.0, device="SP10")
+        manager.journal_packet(packet)
+        proxy.process(packet)
+        manager.simulate_crash(corrupt_tail_bytes=5)
+        recovered, _validation, report = manager.recover(restart_t=2.0)
+        assert report.torn_tail
+        interaction = chaos_system.phone.interact("SP10", 3.0, human=True)
+        attempt = chaos_system.app.authenticate(interaction, 3.0)
+        manager.journal_auth(attempt.wire, 3.5)
+        recovered.receive_auth(attempt.wire, 3.5)
+        manager.simulate_crash()
+        with open(os.path.join(state_dir, "snapshot-000002.json"), "w") as handle:
+            handle.write("garbage")
+        fresh = RecoveryManager(state_dir, chaos_system.build_stack)
+        again, rec_validation, report2 = fresh.recover(restart_t=4.0)
+        assert report2.snapshot_epoch == 1 and not report2.torn_tail
+        assert again.receive_auth(attempt.wire, 4.0) is None
+        assert "replay" in rec_validation.receiver.rejections
 
     def test_synced_auth_record_survives_tail_corruption(
         self, tmp_path, chaos_system
