@@ -29,9 +29,9 @@ Subcommands
     bytes are identical for any ``--jobs`` value.  ``--watch`` renders
     a live telemetry dashboard to stderr while the run executes.
 ``fleet-top``
-    Tail the telemetry channel of a (running, finished, or killed)
-    fleet state dir: progress, rate, ETA, per-phase latency digests,
-    slowest-shard attribution.
+    Tail the telemetry channels of a (running, finished, or killed)
+    fleet state dir, single-machine or distributed: progress, rate,
+    ETA, per-phase latency digests, slowest-shard attribution.
 ``obs-report``
     Render the observability dashboard from a metrics snapshot — or
     from a fleet checkpoint state dir (latest compacted aggregate) —
@@ -333,15 +333,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
             watch_stop.set()
             # One last render so the final (done/interrupted) frame is
             # always shown, however short the run was.
-            print(FleetMonitor(args.state_dir).render(), file=sys.stderr)
-
-    def _emit(report) -> None:
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(report.to_json() + "\n")
-        print(report.render(top=args.top))
-        if args.out:
-            print(f"population report written to {args.out}")
+            print(monitor.render(), file=sys.stderr)
 
     try:
         report = runner.run()
@@ -353,7 +345,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         _end_watch()
         # Graceful degradation: the partial report (explicit coverage
         # counts) is still emitted; the run is resumable.
-        _emit(stop.report)
+        _emit_fleet_report(args, stop.report)
         coverage = stop.report.coverage
         hint = (
             f" — resume with --state-dir {args.state_dir} --resume"
@@ -367,14 +359,8 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         )
         return 3
     _end_watch()
-    _emit(report)
-    if not report.ok:
-        print(
-            f"{report.n_failed} of {report.n_homes} homes failed"
-            + (" (strict mode: failing)" if args.strict else ""),
-            file=sys.stderr,
-        )
-    return 1 if (args.strict and not report.ok) else 0
+    _emit_fleet_report(args, report)
+    return _fleet_exit_code(args, report)
 
 
 def _emit_fleet_report(args: argparse.Namespace, report) -> None:
@@ -384,6 +370,17 @@ def _emit_fleet_report(args: argparse.Namespace, report) -> None:
     print(report.render(top=args.top))
     if args.out:
         print(f"population report written to {args.out}")
+
+
+def _fleet_exit_code(args: argparse.Namespace, report) -> int:
+    """Say how many homes failed, if any; exit 1 for that under ``--strict``."""
+    if not report.ok:
+        print(
+            f"{report.n_failed} of {report.n_homes} homes failed"
+            + (" (strict mode: failing)" if args.strict else ""),
+            file=sys.stderr,
+        )
+    return 1 if (args.strict and not report.ok) else 0
 
 
 def _run_fleet_distrib(args: argparse.Namespace, source) -> int:
@@ -446,13 +443,7 @@ def _run_fleet_distrib(args: argparse.Namespace, source) -> int:
         f"{stats['rejected_submissions']} submission(s) rejected",
         file=sys.stderr,
     )
-    if not report.ok:
-        print(
-            f"{report.n_failed} of {report.n_homes} homes failed"
-            + (" (strict mode: failing)" if args.strict else ""),
-            file=sys.stderr,
-        )
-    return 1 if (args.strict and not report.ok) else 0
+    return _fleet_exit_code(args, report)
 
 
 def cmd_fleet_merge(args: argparse.Namespace) -> int:
@@ -464,7 +455,7 @@ def cmd_fleet_merge(args: argparse.Namespace) -> int:
         print(f"fleet-merge: {error}", file=sys.stderr)
         return 2
     _emit_fleet_report(args, report)
-    return 1 if (args.strict and not report.ok) else 0
+    return _fleet_exit_code(args, report)
 
 
 def cmd_obs_report(args: argparse.Namespace) -> int:
@@ -507,22 +498,11 @@ def cmd_obs_report(args: argparse.Namespace) -> int:
 
 
 def cmd_fleet_top(args: argparse.Namespace) -> int:
-    import os as _os
     import time as _time
 
-    from .fleet import FleetMonitor, MultiFleetMonitor, machine_telemetry_dirs
-    from .fleet.distrib import LEDGER_NAME
+    from .fleet import FleetMonitor
 
-    if _os.path.exists(_os.path.join(args.state_dir, LEDGER_NAME)):
-        # A distributed run: aggregate every machine's telemetry dir.  The
-        # dir set is re-resolved each poll so re-leases (new epochs) and
-        # fresh ranges appear without restarting the dashboard.
-        monitor = MultiFleetMonitor(
-            lambda: machine_telemetry_dirs(args.state_dir),
-            stale_after_s=args.stale_after,
-        )
-    else:
-        monitor = FleetMonitor(args.state_dir, stale_after_s=args.stale_after)
+    monitor = FleetMonitor(args.state_dir, stale_after_s=args.stale_after)
     while True:
         snapshot = monitor.poll()
         print(monitor.render(snapshot))

@@ -25,7 +25,7 @@ Layering: ``spec`` (data, streaming) → ``worker`` (one home) →
 (durability) → ``aggregate`` (incremental population report) →
 ``telemetry`` (out-of-band progress frames + the live
 :class:`FleetMonitor` dashboard behind ``fiat-repro fleet --watch`` /
-``fleet-top``) → ``distrib`` (the multi-machine coordinator: leased
+``fleet-top``, for single-machine and distributed runs alike) → ``distrib`` (the multi-machine coordinator: leased
 contiguous home-ranges on machine subprocesses, epoch-fenced
 submissions, a CRC-framed ledger, and an exact spec-order merge that
 stays byte-identical to a single-machine run under machine kills,
@@ -58,7 +58,6 @@ from .runner import BACKENDS, FleetInterrupted, FleetRunner
 from .telemetry import (
     FleetMonitor,
     MonitorSnapshot,
-    MultiFleetMonitor,
     TelemetryWriter,
     telemetry_dir_for,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "FleetSpec",
     "HomeResult",
     "MonitorSnapshot",
-    "MultiFleetMonitor",
     "TelemetryWriter",
     "HomeSpec",
     "JsonlSpecStream",

@@ -4,8 +4,8 @@ The fleet report answers the questions one home cannot: how accuracy is
 *distributed* across a population (percentiles, not a single Table-6
 row), what the per-traffic-class confusion totals look like fleet-wide,
 how alerts roll up, and what the merged metrics registry of all shards
-says.  The metrics merge keeps :meth:`repro.obs.MetricsSnapshot.merge`
-semantics with exact sums (below).
+says.  The metrics merge is the exact fold of
+:mod:`repro.obs.mergetree` (below).
 
 Bounded memory: the fold is *incremental* (:class:`FleetAggregator`),
 never a terminal pass over an O(homes) result list.  Three devices keep

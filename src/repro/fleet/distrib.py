@@ -109,8 +109,9 @@ logger = logging.getLogger(__name__)
 #: stripped from machine subprocess environments.
 KILL_AFTER_RANGES_ENV = "FIAT_DISTRIB_KILL_AFTER"
 
-#: Telemetry channel the machine wrapper's heartbeat thread writes to
-#: (beside the runner's ``run.jsonl`` in the same per-epoch dir).
+#: Telemetry channel of the machine wrapper: its ``machine-start`` frame
+#: and its heartbeats (beside the runner's ``run.jsonl`` in the same
+#: per-epoch dir).
 MACHINE_CHANNEL = "machine.jsonl"
 
 #: The coordinator's write-ahead ledger file, under the state dir.
@@ -385,8 +386,8 @@ def newest_frame_t(directory: str) -> Optional[float]:
 def machine_telemetry_dirs(state_dir: str) -> List[str]:
     """Newest-epoch telemetry dir of every range under a coordinator dir.
 
-    The discovery hook for :class:`~repro.fleet.telemetry.MultiFleetMonitor`:
-    re-evaluated per poll, so the watched set follows re-leases.
+    What :class:`~repro.fleet.telemetry.FleetMonitor` watches for a
+    coordinator dir, re-resolved per poll so the set follows re-leases.
     """
     dirs: List[str] = []
     try:
@@ -458,26 +459,28 @@ class _MachineHeartbeat:
             target=self._loop, name="machine-heartbeat", daemon=True
         )
 
-    def start(self) -> None:
+    def start(self, **range_counts: int) -> None:
+        # The range's size and the tally of the homes earlier epochs
+        # covered: this epoch's runner counts only the rest of the
+        # range, and the monitor adds this tally to its counts.
+        self._emit("machine-start", **range_counts)
         # First beat immediately (from this thread, before the loop
         # exists): the coordinator learns liveness before home 0 runs.
-        self._emit()
+        self._beat()
         self._thread.start()
 
-    def _emit(self) -> None:
+    def _beat(self) -> None:
+        self._emit("machine-heartbeat", done=self.progress)
+
+    def _emit(self, kind: str, **fields: object) -> None:
         if not self._muted and not self._paused.is_set():
-            self._writer.emit(
-                "machine-heartbeat",
-                range=self.range_index,
-                epoch=self.epoch,
-                done=self.progress,
-            )
+            self._writer.emit(kind, range=self.range_index, epoch=self.epoch, **fields)
 
     def _loop(self) -> None:
         if self._stop.wait(self._phase):
             return
         while not self._stop.wait(self.interval_s):
-            self._emit()
+            self._beat()
 
     def pause(self) -> None:
         self._paused.set()
@@ -589,7 +592,15 @@ def run_machine(payload: Dict[str, object]) -> int:
 
     if armed is not None and armed.after_homes == 0:
         fire(armed)
-    heartbeat.start()
+    covered = [prior[idx] for idx in range(start, next_idx)]
+    failed = sum(result.get("status") != "ok" for result in covered)
+    heartbeat.start(
+        planned=stop - start,
+        completed=len(covered),
+        ok=len(covered) - failed,
+        failed=failed,
+        quarantined=failed,
+    )
     try:
         if next_idx < stop:
             runner = FleetRunner(

@@ -249,17 +249,22 @@ class JsonlSpecStream(SpecStream):
             self.name = str(header.get("name", "fleet"))
             self.seed = int(header.get("seed", 0))
             n_homes = 0
-            # The digest pass also validates every home line, so a bad
-            # line fails here with its number, not mid-run.
+            # The digest pass also parses every home line, so a bad line
+            # fails here with its number, not mid-run, and the count is
+            # of homes, not of newlines.
             for number, line in enumerate(handle, start=2):
                 digest.update(line)
-                n_homes += line.endswith(b"\n")
                 try:
-                    self._parse(line)
+                    n_homes += self._parse(line) is not None
                 except (TypeError, ValueError) as error:
                     raise ValueError(f"{path}: line {number}: {error}") from None
         declared = header.get("n_homes")
-        self.n_homes = int(declared) if declared is not None else n_homes
+        if declared is not None and int(declared) != n_homes:
+            raise ValueError(
+                f"{path}: the header declares n_homes={declared} but the spec has "
+                f"{n_homes} homes"
+            )
+        self.n_homes = n_homes
         self.digest = digest.hexdigest()
 
     def _parse(self, line: "str | bytes") -> Optional[HomeSpec]:

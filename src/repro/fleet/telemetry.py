@@ -21,10 +21,18 @@ Layout, under ``<state_dir>/telemetry/``:
     with per-phase wall-clock timings.  Files are per-pid so appends
     never interleave across processes.
 
-Every frame is CRC32-framed JSONL (:func:`repro.recovery.journal.frame_record`),
-the same discipline as the checkpoint journal: a reader never trusts a
-torn tail, and a half-written frame from a live writer is simply not
-visible yet.  :class:`FleetMonitor` tails the directory, reconstructs
+A distributed run (:mod:`repro.fleet.distrib`) keeps one such dir per
+range and lease epoch, ``range-NNNN/telemetry-NNNN/``, where the machine
+wrapper adds ``machine.jsonl``: a ``machine-start`` frame (the range's
+size and the tally of the homes earlier epochs covered) and periodic
+heartbeats.
+
+Every frame is CRC32-framed JSONL, written through
+:class:`repro.recovery.journal.JournalWriter` — the same discipline as
+the checkpoint journal: a reader never trusts a torn tail, and a
+half-written frame from a live writer is simply not visible yet.
+:class:`FleetMonitor` folds each watched dir (:func:`fold_frames`),
+merges the parts (:func:`merge_monitor_snapshots`) into
 progress/rate/ETA/per-phase digests/slowest-shard attribution, and
 renders the ``fiat-repro fleet --watch`` / ``fleet-top`` dashboard.
 """
@@ -35,9 +43,9 @@ import logging
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..recovery.journal import frame_record, read_journal
+from ..recovery.journal import JournalWriter, read_journal
 
 __all__ = [
     "TELEMETRY_DIRNAME",
@@ -48,9 +56,11 @@ __all__ = [
     "load_frames",
     "MonitorSnapshot",
     "PhaseDigest",
+    "fold_frames",
+    "merge_monitor_snapshots",
     "FleetMonitor",
-    "MultiFleetMonitor",
     "telemetry_dir_for",
+    "telemetry_dirs",
 ]
 
 logger = logging.getLogger(__name__)
@@ -69,48 +79,65 @@ STALE_AFTER_S = 30.0
 #: Slowest homes surfaced by the dashboard.
 SLOWEST_ROWS = 5
 
+#: Home counts a distributed machine carries over from earlier lease
+#: epochs of its range (its ``machine-start`` frame) and adds to what
+#: its own runner reports.
+CARRIED_COUNTS = ("completed", "ok", "failed", "quarantined")
+
 
 def telemetry_dir_for(state_dir: str) -> str:
     """The telemetry directory of a fleet state dir."""
     return os.path.join(state_dir, TELEMETRY_DIRNAME)
 
 
-class TelemetryWriter:
+def telemetry_dirs(path: str) -> List[str]:
+    """The telemetry dirs a monitor pointed at ``path`` watches right now.
+
+    A telemetry dir itself (``telemetry`` or a distributed machine's
+    epoch-suffixed ``telemetry-NNNN``) is watched as is; a coordinator
+    dir (one holding the coordinator ledger) gives the newest-epoch
+    telemetry dir of each of its ranges; any other path is a
+    single-machine state dir and gives ``<path>/telemetry``.
+    """
+    # Late import: the coordinator module writes through this one.
+    from .distrib import LEDGER_NAME, machine_telemetry_dirs
+
+    base = os.path.basename(path.rstrip(os.sep))
+    if base == TELEMETRY_DIRNAME or base.startswith(TELEMETRY_DIRNAME + "-"):
+        return [path]
+    if os.path.exists(os.path.join(path, LEDGER_NAME)):
+        return machine_telemetry_dirs(path)
+    return [telemetry_dir_for(path)]
+
+
+def _stamped(kind: str, fields: Dict[str, object]) -> Dict[str, object]:
+    """One frame: its kind and fields, stamped with wall time and pid."""
+    return {"kind": kind, "t": time.time(), "pid": os.getpid(), **fields}
+
+
+class TelemetryWriter(JournalWriter):
     """Append CRC-framed telemetry frames to one channel file.
 
-    Holds the file handle open (the runner emits one frame per folded
-    home); every frame is flushed immediately so a tailing monitor in
-    another process sees it without waiting for a buffer to fill.
-    Telemetry is advisory — it is never fsynced and a lost tail costs
-    nothing but a momentarily stale dashboard.
+    A :class:`~repro.recovery.journal.JournalWriter` on
+    ``<directory>/<channel>``: it holds the handle open (the runner
+    emits one frame per folded home) and flushes every frame, so a
+    tailing monitor in another process sees it at once.  Telemetry is
+    advisory — it is never fsynced and a lost tail costs nothing but a
+    momentarily stale dashboard.
     """
 
     def __init__(self, directory: str, channel: str = RUN_CHANNEL) -> None:
         os.makedirs(directory, exist_ok=True)
-        self.path = os.path.join(directory, channel)
-        self._handle = open(self.path, "ab")
+        super().__init__(os.path.join(directory, channel))
 
     def emit(self, kind: str, **fields: object) -> None:
-        """Append one frame (stamped with wall time and pid)."""
-        if self._handle is None:  # pragma: no cover - emit-after-close guard
-            return
-        record: Dict[str, object] = {"kind": kind, "t": time.time(), "pid": os.getpid()}
-        record.update(fields)
-        self._handle.write(frame_record(record))
-        self._handle.flush()
+        """Append one frame (stamped with wall time and pid).
 
-    def close(self) -> None:
-        """Flush and close (idempotent)."""
+        A no-op once closed: a machine's heartbeat thread may beat once
+        more while the machine shuts its channel.
+        """
         if self._handle is not None:
-            self._handle.flush()
-            self._handle.close()
-            self._handle = None
-
-    def __enter__(self) -> "TelemetryWriter":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+            self.append(_stamped(kind, fields))
 
 
 def emit_worker_frame(directory: str, kind: str, **fields: object) -> None:
@@ -121,12 +148,8 @@ def emit_worker_frame(directory: str, kind: str, **fields: object) -> None:
     runner kills abandoned workers on timeout).  Each pid owns its file,
     so frames never interleave.
     """
-    os.makedirs(directory, exist_ok=True)
-    record: Dict[str, object] = {"kind": kind, "t": time.time(), "pid": os.getpid()}
-    record.update(fields)
-    path = os.path.join(directory, f"worker-{os.getpid()}.jsonl")
-    with open(path, "ab") as handle:
-        handle.write(frame_record(record))
+    with TelemetryWriter(directory, f"worker-{os.getpid()}.jsonl") as channel:
+        channel.append(_stamped(kind, fields))
 
 
 def read_frames(path: str) -> List[Dict[str, object]]:
@@ -218,7 +241,7 @@ class MonitorSnapshot:
     failed: int = 0
     retries: int = 0
     quarantined: int = 0
-    #: homes folded by prior (resumed-from) runs
+    #: homes folded by prior (resumed-from) runs or earlier lease epochs
     resumed_from: int = 0
     homes_per_sec: float = 0.0
     elapsed_s: float = 0.0
@@ -250,121 +273,204 @@ def _format_duration(seconds: Optional[float]) -> str:
     return f"{seconds:.1f}s"
 
 
-class FleetMonitor:
-    """Tail a telemetry dir and reconstruct the live run state.
+def _eta(snapshot: MonitorSnapshot) -> Optional[float]:
+    """Seconds to go at the current rate, for a run still under way."""
+    if (
+        snapshot.status in ("running", "stale")
+        and snapshot.planned is not None
+        and snapshot.homes_per_sec > 0
+    ):
+        return (snapshot.planned - snapshot.completed) / snapshot.homes_per_sec
+    return None
 
-    Read-only and out-of-process: point it at the ``state_dir`` of a
-    running (or finished, or killed) fleet and :meth:`poll` as often as
-    you like — every poll re-reads the channels from scratch, which at
-    one frame per home stays trivially cheap far beyond the fleet sizes
-    a single state dir holds.
+
+def fold_frames(
+    directory: str, now: float, stale_after_s: float = STALE_AFTER_S
+) -> MonitorSnapshot:
+    """Fold every frame of one telemetry dir into a snapshot.
+
+    A distributed machine's ``machine-start`` frame gives its range's
+    size and the tally of the homes earlier lease epochs covered; the
+    epoch's runner then counts only the rest of the range, so its
+    counts are added to that tally.
+    """
+    frames = load_frames(directory)
+    snapshot = MonitorSnapshot(n_frames=len(frames))
+    if not frames:
+        return snapshot
+
+    carried = dict.fromkeys(CARRIED_COUNTS, 0)
+    open_homes: Dict[Tuple[int, str], float] = {}
+    finished: List[Tuple[str, float, str]] = []
+    newest_t = 0.0
+    for frame in frames:
+        kind = frame.get("kind")
+        stamp = float(frame.get("t", 0.0))
+        newest_t = max(newest_t, stamp)
+        if kind == "machine-start":
+            for name in CARRIED_COUNTS:
+                carried[name] = int(frame.get(name, 0))
+                setattr(snapshot, name, carried[name])
+            snapshot.resumed_from = snapshot.completed
+            snapshot.planned = int(frame.get("planned", snapshot.completed))
+            snapshot.status = (
+                "running" if snapshot.completed < snapshot.planned else "done"
+            )
+        elif kind == "run-start":
+            snapshot.n_runs += 1
+            snapshot.status = "running"
+            snapshot.fleet = str(frame.get("fleet", snapshot.fleet))
+            snapshot.backend = str(frame.get("backend", snapshot.backend))
+            snapshot.jobs = int(frame.get("jobs", snapshot.jobs) or 0)
+            planned = frame.get("planned")
+            snapshot.planned = (
+                carried["completed"] + int(planned) if planned is not None else None
+            )
+            snapshot.resumed_from = carried["completed"] + int(frame.get("resumed", 0) or 0)
+            snapshot.completed = snapshot.resumed_from
+        elif kind == "progress":
+            snapshot.status = "running"
+            for name in CARRIED_COUNTS:
+                ran = int(frame.get(name, getattr(snapshot, name) - carried[name]))
+                setattr(snapshot, name, carried[name] + ran)
+            snapshot.retries = int(frame.get("retries", snapshot.retries))
+            snapshot.elapsed_s = float(frame.get("elapsed_s", snapshot.elapsed_s))
+            snapshot.homes_per_sec = float(
+                frame.get("homes_per_sec", snapshot.homes_per_sec)
+            )
+        elif kind == "final":
+            snapshot.status = (
+                "interrupted" if frame.get("status") == "interrupted" else "done"
+            )
+            ran = int(frame.get("completed", snapshot.completed - carried["completed"]))
+            snapshot.completed = carried["completed"] + ran
+            snapshot.elapsed_s = float(frame.get("elapsed_s", snapshot.elapsed_s))
+            open_homes.clear()
+        elif kind == "home-start":
+            key = (int(frame.get("pid", 0)), str(frame.get("home", "")))
+            open_homes[key] = stamp
+        elif kind == "home-end":
+            key = (int(frame.get("pid", 0)), str(frame.get("home", "")))
+            open_homes.pop(key, None)
+            phases = frame.get("phases")
+            if isinstance(phases, dict):
+                summed = 0.0
+                dominant, dominant_s = "", -1.0
+                for phase, seconds in sorted(phases.items()):
+                    seconds = float(seconds)
+                    snapshot.phases.setdefault(str(phase), PhaseDigest()).add(seconds)
+                    if phase == "total":  # the sum, not a phase
+                        continue
+                    summed += seconds
+                    if seconds > dominant_s:
+                        dominant, dominant_s = str(phase), seconds
+                total = float(phases.get("total", summed) or summed)
+                finished.append((str(frame.get("home", "")), total, dominant))
+
+    snapshot.slowest = sorted(finished, key=lambda row: -row[1])[:SLOWEST_ROWS]
+    snapshot.in_flight = sorted(
+        ((home, pid, started) for (pid, home), started in open_homes.items()),
+        key=lambda row: row[2],
+    )
+    snapshot.age_s = max(0.0, now - newest_t)
+    if snapshot.status == "running" and snapshot.age_s > stale_after_s:
+        snapshot.status = "stale"
+    snapshot.eta_s = _eta(snapshot)
+    return snapshot
+
+
+def merge_monitor_snapshots(parts: Sequence[MonitorSnapshot]) -> MonitorSnapshot:
+    """One fleet-wide snapshot from the snapshots of several telemetry dirs.
+
+    Counts, frames, runs and jobs add up; ``planned`` adds up over the
+    parts that know it; elapsed time is the longest part's and the
+    frame age the freshest part's.  The rate adds up over the running
+    parts, or over every part once none is running.  The status is the
+    most urgent one — any stale part makes the fleet stale — and is
+    done only when every part is done.  Merging one part gives a
+    snapshot equal to it.
+    """
+    merged = MonitorSnapshot()
+    for part in parts:
+        merged.completed += part.completed
+        merged.ok += part.ok
+        merged.failed += part.failed
+        merged.retries += part.retries
+        merged.quarantined += part.quarantined
+        merged.resumed_from += part.resumed_from
+        merged.n_frames += part.n_frames
+        merged.n_runs += part.n_runs
+        merged.jobs += part.jobs
+        merged.elapsed_s = max(merged.elapsed_s, part.elapsed_s)
+        for phase, digest in part.phases.items():
+            target = merged.phases.setdefault(phase, PhaseDigest())
+            target.n += digest.n
+            target.total_s += digest.total_s
+            target.max_s = max(target.max_s, digest.max_s)
+            target.samples.extend(digest.samples)
+        merged.slowest.extend(part.slowest)
+        merged.in_flight.extend(part.in_flight)
+    merged.fleet = next((part.fleet for part in parts if part.fleet), "")
+    merged.backend = next((part.backend for part in parts if part.backend), "")
+    planned = [part.planned for part in parts if part.planned is not None]
+    merged.planned = sum(planned) if planned else None
+    ages = [part.age_s for part in parts if part.age_s is not None]
+    merged.age_s = min(ages) if ages else None
+    running = [part for part in parts if part.status == "running"] or parts
+    merged.homes_per_sec = sum(part.homes_per_sec for part in running)
+    merged.slowest = sorted(merged.slowest, key=lambda row: -row[1])[:SLOWEST_ROWS]
+    merged.in_flight.sort(key=lambda row: row[2])
+    statuses = {part.status for part in parts}
+    urgent = [s for s in ("stale", "running", "interrupted") if s in statuses]
+    if urgent:
+        merged.status = urgent[0]
+    elif "done" in statuses:
+        # Some ranges may not have been heard from yet.
+        merged.status = "done" if statuses == {"done"} else "running"
+    merged.eta_s = _eta(merged)
+    return merged
+
+
+class FleetMonitor:
+    """Tail the telemetry of a fleet run and reconstruct its live state.
+
+    Read-only and out-of-process: point it at the state dir of a
+    running (or finished, or killed) fleet — single-machine or
+    distributed — and :meth:`poll` as often as you like.  Every poll
+    re-resolves the watched dirs (:func:`telemetry_dirs`, so a
+    distributed dashboard follows re-leases) and re-reads their
+    channels from scratch, which at one frame per home stays trivially
+    cheap far beyond the fleet sizes a single state dir holds.
     """
 
     def __init__(self, state_dir: str, stale_after_s: float = STALE_AFTER_S) -> None:
-        # Accept either the state dir or the telemetry dir itself (plain
-        # ``telemetry`` or a distrib machine's epoch-suffixed
-        # ``telemetry-NNNN``).
-        base = os.path.basename(state_dir.rstrip(os.sep))
-        if base == TELEMETRY_DIRNAME or base.startswith(TELEMETRY_DIRNAME + "-"):
-            self.directory = state_dir
-        else:
-            self.directory = telemetry_dir_for(state_dir)
+        self.state_dir = state_dir
         self.stale_after_s = stale_after_s
+        #: ``(telemetry dir, its snapshot)`` of the last poll
+        self.parts: List[Tuple[str, MonitorSnapshot]] = []
 
     def poll(self, now: Optional[float] = None) -> MonitorSnapshot:
-        """Re-read every channel and fold the frames into a snapshot."""
-        frames = load_frames(self.directory)
-        snapshot = MonitorSnapshot(n_frames=len(frames))
-        if not frames:
-            return snapshot
-
-        open_homes: Dict[Tuple[int, str], float] = {}
-        finished: List[Tuple[str, float, str]] = []
-        newest_t = 0.0
-        for frame in frames:
-            kind = frame.get("kind")
-            stamp = float(frame.get("t", 0.0))
-            newest_t = max(newest_t, stamp)
-            if kind == "run-start":
-                snapshot.n_runs += 1
-                snapshot.status = "running"
-                snapshot.fleet = str(frame.get("fleet", snapshot.fleet))
-                snapshot.backend = str(frame.get("backend", snapshot.backend))
-                snapshot.jobs = int(frame.get("jobs", snapshot.jobs) or 0)
-                planned = frame.get("planned")
-                snapshot.planned = int(planned) if planned is not None else None
-                snapshot.resumed_from = int(frame.get("resumed", 0) or 0)
-                snapshot.completed = snapshot.resumed_from
-            elif kind == "progress":
-                snapshot.status = "running"
-                snapshot.completed = int(frame.get("completed", snapshot.completed))
-                snapshot.ok = int(frame.get("ok", snapshot.ok))
-                snapshot.failed = int(frame.get("failed", snapshot.failed))
-                snapshot.retries = int(frame.get("retries", snapshot.retries))
-                snapshot.quarantined = int(
-                    frame.get("quarantined", snapshot.quarantined)
-                )
-                snapshot.elapsed_s = float(frame.get("elapsed_s", snapshot.elapsed_s))
-                snapshot.homes_per_sec = float(
-                    frame.get("homes_per_sec", snapshot.homes_per_sec)
-                )
-            elif kind == "final":
-                snapshot.status = (
-                    "interrupted"
-                    if frame.get("status") == "interrupted"
-                    else "done"
-                )
-                snapshot.completed = int(frame.get("completed", snapshot.completed))
-                snapshot.elapsed_s = float(frame.get("elapsed_s", snapshot.elapsed_s))
-                open_homes.clear()
-            elif kind == "home-start":
-                key = (int(frame.get("pid", 0)), str(frame.get("home", "")))
-                open_homes[key] = stamp
-            elif kind == "home-end":
-                key = (int(frame.get("pid", 0)), str(frame.get("home", "")))
-                open_homes.pop(key, None)
-                phases = frame.get("phases")
-                if isinstance(phases, dict):
-                    summed = 0.0
-                    dominant, dominant_s = "", -1.0
-                    for phase, seconds in sorted(phases.items()):
-                        seconds = float(seconds)
-                        snapshot.phases.setdefault(str(phase), PhaseDigest()).add(
-                            seconds
-                        )
-                        if phase == "total":  # the sum, not a phase
-                            continue
-                        summed += seconds
-                        if seconds > dominant_s:
-                            dominant, dominant_s = str(phase), seconds
-                    total = float(phases.get("total", summed) or summed)
-                    finished.append((str(frame.get("home", "")), total, dominant))
-
-        snapshot.slowest = sorted(finished, key=lambda row: -row[1])[:SLOWEST_ROWS]
-        snapshot.in_flight = sorted(
-            ((home, pid, started) for (pid, home), started in open_homes.items()),
-            key=lambda row: row[2],
-        )
+        """Fold every watched dir and merge the per-dir snapshots."""
         now = time.time() if now is None else now
-        snapshot.age_s = max(0.0, now - newest_t)
-        if snapshot.status == "running":
-            if snapshot.age_s > self.stale_after_s:
-                snapshot.status = "stale"
-            remaining = (
-                (snapshot.planned - snapshot.completed)
-                if snapshot.planned is not None
-                else None
-            )
-            if remaining is not None and snapshot.homes_per_sec > 0:
-                snapshot.eta_s = remaining / snapshot.homes_per_sec
-        return snapshot
+        self.parts = [
+            (directory, fold_frames(directory, now, self.stale_after_s))
+            for directory in telemetry_dirs(self.state_dir)
+        ]
+        return merge_monitor_snapshots([part for _, part in self.parts])
 
     def render(self, snapshot: Optional[MonitorSnapshot] = None) -> str:
-        """The text dashboard for one snapshot (polls when not given)."""
+        """The text dashboard for one snapshot (polls when not given).
+
+        With more than one watched dir, one row per dir follows.
+        """
         snap = self.poll() if snapshot is None else snapshot
+        if len(self.parts) == 1:
+            title = self.parts[0][0]
+        else:
+            title = f"{self.state_dir} ({len(self.parts)} telemetry dirs)"
         if snap.status == "idle":
             return (
-                f"=== FIAT fleet monitor — {self.directory} ===\n"
+                f"=== FIAT fleet monitor — {title} ===\n"
                 "  (no telemetry frames yet)\n"
             )
         planned = str(snap.planned) if snap.planned is not None else "?"
@@ -374,7 +480,7 @@ class FleetMonitor:
             else ""
         )
         lines = [
-            f"=== FIAT fleet monitor — {self.directory} ===",
+            f"=== FIAT fleet monitor — {title} ===",
             f"  fleet {snap.fleet!r}   status {snap.status.upper()}   "
             f"backend {snap.backend} x{snap.jobs}   runs {snap.n_runs}",
             f"  progress  {snap.completed}/{planned} homes{percent}   "
@@ -413,128 +519,12 @@ class FleetMonitor:
             lines.append(f"  slowest   {rows}")
         age = f"{snap.age_s:.1f}s" if snap.age_s is not None else "?"
         lines.append(f"  last frame {age} ago ({snap.n_frames} frames)")
-        return "\n".join(lines) + "\n"
-
-
-class MultiFleetMonitor:
-    """Aggregate :class:`FleetMonitor` views over many telemetry dirs.
-
-    The distributed-fleet dashboard: each machine writes frames into its
-    own per-lease telemetry dir, and the set of live dirs changes as
-    ranges are re-leased — so the watched dirs come from either a static
-    sequence or a discovery callable re-evaluated on every poll (e.g.
-    :func:`repro.fleet.distrib.machine_telemetry_dirs`).  Counters sum
-    across dirs, rates sum over the parts currently running, and the
-    merged status is the most urgent of the per-dir statuses (any stale
-    part makes the whole fleet STALE).  Like everything else here it is
-    advisory and read-only: dirs may vanish mid-poll without harm.
-    """
-
-    def __init__(
-        self,
-        dirs: Union[Sequence[str], Callable[[], Iterable[str]]],
-        stale_after_s: float = STALE_AFTER_S,
-    ) -> None:
-        self._dirs = dirs
-        self.stale_after_s = stale_after_s
-        #: per-dir snapshots of the last poll, for the renderer
-        self.parts: List[Tuple[str, MonitorSnapshot]] = []
-
-    def dirs(self) -> List[str]:
-        """The telemetry dirs watched right now."""
-        if callable(self._dirs):
-            return list(self._dirs())
-        return list(self._dirs)
-
-    def poll(self, now: Optional[float] = None) -> MonitorSnapshot:
-        """Poll every dir and merge the per-machine snapshots."""
-        now = time.time() if now is None else now
-        self.parts = [
-            (directory, FleetMonitor(directory, self.stale_after_s).poll(now))
-            for directory in self.dirs()
-        ]
-        merged = MonitorSnapshot()
-        statuses = set()
-        planned_known = False
-        for _, part in self.parts:
-            statuses.add(part.status)
-            merged.completed += part.completed
-            merged.ok += part.ok
-            merged.failed += part.failed
-            merged.retries += part.retries
-            merged.quarantined += part.quarantined
-            merged.resumed_from += part.resumed_from
-            merged.n_frames += part.n_frames
-            merged.n_runs += part.n_runs
-            merged.elapsed_s = max(merged.elapsed_s, part.elapsed_s)
-            if part.status == "running":
-                merged.homes_per_sec += part.homes_per_sec
-            if part.planned is not None:
-                planned_known = True
-                merged.planned = (merged.planned or 0) + part.planned
-            if part.age_s is not None:
-                merged.age_s = (
-                    part.age_s
-                    if merged.age_s is None
-                    else min(merged.age_s, part.age_s)
+        if len(self.parts) > 1:
+            for directory, part in self.parts:
+                part_age = f"{part.age_s:.1f}s" if part.age_s is not None else "?"
+                part_planned = str(part.planned) if part.planned is not None else "?"
+                lines.append(
+                    f"    {part.status.upper():11s} {part.completed}/{part_planned:4s} "
+                    f"last frame {part_age:>7s} ago  {directory}"
                 )
-            if not merged.fleet and part.fleet:
-                merged.fleet = part.fleet
-                merged.backend = part.backend
-            merged.jobs += part.jobs
-            for phase, digest in part.phases.items():
-                target = merged.phases.setdefault(phase, PhaseDigest())
-                target.n += digest.n
-                target.total_s += digest.total_s
-                target.max_s = max(target.max_s, digest.max_s)
-                target.samples.extend(digest.samples)
-            merged.slowest.extend(part.slowest)
-            merged.in_flight.extend(part.in_flight)
-        if not planned_known:
-            merged.planned = None
-        merged.slowest = sorted(merged.slowest, key=lambda row: -row[1])[:SLOWEST_ROWS]
-        merged.in_flight.sort(key=lambda row: row[2])
-        # Most-urgent-wins: one dark machine must surface even while
-        # the others hum along; "done" only when every part is done.
-        if "stale" in statuses:
-            merged.status = "stale"
-        elif "running" in statuses:
-            merged.status = "running"
-        elif "interrupted" in statuses:
-            merged.status = "interrupted"
-        elif statuses == {"done"}:
-            merged.status = "done"
-        elif "done" in statuses:
-            # Some ranges finished, others have not started yet.
-            merged.status = "running"
-        else:
-            merged.status = "idle"
-        if merged.status == "running" and merged.planned is not None:
-            remaining = merged.planned - merged.completed
-            if merged.homes_per_sec > 0:
-                merged.eta_s = remaining / merged.homes_per_sec
-        return merged
-
-    def render(self, snapshot: Optional[MonitorSnapshot] = None) -> str:
-        """The merged dashboard plus a one-line row per machine dir."""
-        snap = self.poll() if snapshot is None else snapshot
-        planned = str(snap.planned) if snap.planned is not None else "?"
-        lines = [
-            f"=== FIAT fleet monitor — {len(self.parts)} machine dir(s) ===",
-            f"  fleet {snap.fleet!r}   status {snap.status.upper()}   "
-            f"jobs {snap.jobs}   runs {snap.n_runs}",
-            f"  progress  {snap.completed}/{planned} homes   "
-            f"ok {snap.ok}  failed {snap.failed}  retries {snap.retries}  "
-            f"quarantined {snap.quarantined}",
-            f"  rate      {snap.homes_per_sec:.2f} homes/s   "
-            f"elapsed {_format_duration(snap.elapsed_s)}   "
-            f"ETA {_format_duration(snap.eta_s)}",
-        ]
-        for directory, part in self.parts:
-            age = f"{part.age_s:.1f}s" if part.age_s is not None else "?"
-            part_planned = str(part.planned) if part.planned is not None else "?"
-            lines.append(
-                f"    {part.status.upper():11s} {part.completed}/{part_planned:4s} "
-                f"last frame {age:>7s} ago  {directory}"
-            )
         return "\n".join(lines) + "\n"

@@ -1,9 +1,9 @@
 """Exact merging of :class:`MetricsSnapshot`s.
 
-A plain left fold of snapshots (``merged = merged.merge(shard)``)
-rounds every counter and histogram sum once per shard, so the fleet
-sums drift with fleet size, and the order of float additions leaks into
-the report bytes.  A :class:`SnapshotAccumulator` keeps every additive
+A plain left fold of snapshots in floats rounds every counter and
+histogram sum once per shard, so the fleet sums would drift with fleet
+size, and the order of float additions would leak into the report
+bytes.  A :class:`SnapshotAccumulator` keeps every additive
 quantity as an exact rational (:class:`fractions.Fraction` — every IEEE
 double is a dyadic rational, so float ingestion is lossless) and
 converts to float exactly once, when :meth:`SnapshotAccumulator.snapshot`
@@ -17,7 +17,7 @@ The fleet aggregate folds one running accumulator in spec order
 (:class:`~repro.fleet.aggregate.FleetAggregator`);
 :func:`merge_snapshots` is the same fold over a finished sequence.
 For integral values (all counters and histogram counts) the result is
-byte-identical to the old float fold; for fractional sums it is the
+byte-identical to a float fold; for fractional sums it is the
 correctly rounded exact sum.
 """
 
@@ -39,10 +39,9 @@ def _fraction_state(value: Fraction) -> str:
 class SnapshotAccumulator:
     """Exact running union of one ordered range of shard snapshots.
 
-    Mirrors :meth:`MetricsSnapshot.merge` semantics — counters and
-    histograms add, gauges take the later shard's value, histogram
-    boundary conflicts resolve to the later shard — but keeps every sum
-    as a :class:`~fractions.Fraction` so addition is associative and
+    Counters and histograms add, gauges take the later shard's value,
+    histogram boundary conflicts resolve to the later shard, and every
+    sum is a :class:`~fractions.Fraction` so addition is associative and
     the float conversion happens exactly once, in :meth:`snapshot`.
     """
 
@@ -114,10 +113,9 @@ class SnapshotAccumulator:
             for key, theirs in series.items():
                 mine = target.get(key)
                 if mine is None or list(mine["boundaries"]) != list(theirs["boundaries"]):
-                    # Boundary conflict: the later range wins, as in
-                    # MetricsSnapshot.merge.  (The registry pins
-                    # boundaries per name, so this only fires across
-                    # incompatible code versions.)
+                    # Boundary conflict: the later range wins.  (The
+                    # registry pins boundaries per name, so this only
+                    # fires across incompatible code versions.)
                     target[key] = dict(theirs)
                     continue
                 target[key] = {

@@ -6,10 +6,8 @@ around via the :class:`~repro.obs.handle.Observability` handle on
 zero-dependency and synchronous: metric updates are plain dict
 operations on the hot path (no locks, no background threads), matching
 the single-threaded simulator while keeping the data model compatible
-with a sharded deployment — snapshots of independent registries
-:meth:`merge <MetricsSnapshot.merge>` into one, and
-:meth:`delta <MetricsSnapshot.delta>` turns two snapshots of a live
-registry into an interval view.
+with a sharded deployment — snapshots of independent registries merge
+exactly into one through :func:`repro.obs.mergetree.merge_snapshots`.
 
 Labels follow the Prometheus model (a metric name plus a small set of
 ``key=value`` pairs); per-name label cardinality is capped so a buggy
@@ -323,77 +321,6 @@ class MetricsSnapshot:
             gauges=data.get("gauges", {}),
             histograms=data.get("histograms", {}),
         )
-
-    # -- algebra -----------------------------------------------------------------
-
-    def delta(self, earlier: "MetricsSnapshot") -> "MetricsSnapshot":
-        """The interval view ``self - earlier`` (counters and histograms).
-
-        Gauges are instantaneous, so the later value is kept.  Series
-        absent from ``earlier`` pass through unchanged.
-        """
-        counters = {
-            name: {
-                key: value - earlier.counters.get(name, {}).get(key, 0.0)
-                for key, value in series.items()
-            }
-            for name, series in self.counters.items()
-        }
-        histograms: Dict[str, Dict[str, Dict[str, object]]] = {}
-        for name, series in self.histograms.items():
-            histograms[name] = {}
-            for key, data in series.items():
-                before = earlier.histograms.get(name, {}).get(key)
-                if before is None or list(before["boundaries"]) != list(data["boundaries"]):
-                    histograms[name][key] = dict(data)
-                    continue
-                counts = [int(a) - int(b) for a, b in zip(data["counts"], before["counts"])]
-                histograms[name][key] = {
-                    "boundaries": list(data["boundaries"]),
-                    "counts": counts,
-                    "sum": float(data["sum"]) - float(before["sum"]),
-                    "count": int(data["count"]) - int(before["count"]),
-                    # interval min/max are not recoverable from totals
-                    "min": data.get("min"),
-                    "max": data.get("max"),
-                }
-        return MetricsSnapshot(
-            counters=counters,
-            gauges={name: dict(series) for name, series in self.gauges.items()},
-            histograms=histograms,
-        )
-
-    def merge(self, other: "MetricsSnapshot") -> "MetricsSnapshot":
-        """Combine two shards: counters and histograms add, gauges take
-        ``other``'s value on conflict (last writer wins)."""
-        counters = {name: dict(series) for name, series in self.counters.items()}
-        for name, series in other.counters.items():
-            target = counters.setdefault(name, {})
-            for key, value in series.items():
-                target[key] = target.get(key, 0.0) + value
-        gauges = {name: dict(series) for name, series in self.gauges.items()}
-        for name, series in other.gauges.items():
-            gauges.setdefault(name, {}).update(series)
-        histograms = {
-            name: {key: dict(data) for key, data in series.items()}
-            for name, series in self.histograms.items()
-        }
-        for name, series in other.histograms.items():
-            target = histograms.setdefault(name, {})
-            for key, data in series.items():
-                mine = target.get(key)
-                if mine is None or list(mine["boundaries"]) != list(data["boundaries"]):
-                    target[key] = dict(data)
-                    continue
-                merged = Histogram.from_dict(mine)
-                theirs = Histogram.from_dict(data)
-                merged.counts = [a + b for a, b in zip(merged.counts, theirs.counts)]
-                merged.sum += theirs.sum
-                merged.count += theirs.count
-                merged.min = min(merged.min, theirs.min)
-                merged.max = max(merged.max, theirs.max)
-                target[key] = merged.to_dict()
-        return MetricsSnapshot(counters=counters, gauges=gauges, histograms=histograms)
 
     # -- rendering ---------------------------------------------------------------
 

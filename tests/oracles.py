@@ -1,7 +1,8 @@
 """Scalar reference implementations that the vectorized library code must match.
 
 These are the straightforward per-cut, per-window, per-touch, per-draw,
-per-event and per-bucket loops the library used before it was vectorized.
+per-event and per-bucket loops the library used before it was vectorized,
+and the float snapshot merge the fleet folded with before its exact sums.
 They are kept here, outside the package, only as test oracles: property
 tests assert that the library reproduces them bit for bit.
 """
@@ -17,6 +18,7 @@ from repro.ml.tree import DecisionTreeClassifier, _gini, _midpoint
 from repro.net import DnsTable, FlowDefinition, Trace
 from repro.net.flows import flow_key
 from repro.net.packet import TCP_ACK, TCP_PSH, TLS_1_2, TLS_NONE, Direction, Packet
+from repro.obs.registry import Histogram, MetricsSnapshot
 from repro.predictability.buckets import DEFAULT_RESOLUTION, quantize_iat
 from repro.sensors.motion import GRAVITY, SAMPLE_RATE_HZ, MotionKind
 from repro.testbed.household import _event_local_port, _make_packet
@@ -347,3 +349,37 @@ def scalar_label_predictable(
             labels[prev_index] = True
 
     return labels
+
+
+def float_merge(first: MetricsSnapshot, later: MetricsSnapshot) -> MetricsSnapshot:
+    """Union of two shards in floats: counters and histograms add, gauges
+    take ``later``'s value, a histogram boundary conflict takes ``later``'s
+    series."""
+    counters = {name: dict(series) for name, series in first.counters.items()}
+    for name, series in later.counters.items():
+        target = counters.setdefault(name, {})
+        for key, value in series.items():
+            target[key] = target.get(key, 0.0) + value
+    gauges = {name: dict(series) for name, series in first.gauges.items()}
+    for name, series in later.gauges.items():
+        gauges.setdefault(name, {}).update(series)
+    histograms = {
+        name: {key: dict(data) for key, data in series.items()}
+        for name, series in first.histograms.items()
+    }
+    for name, series in later.histograms.items():
+        target = histograms.setdefault(name, {})
+        for key, data in series.items():
+            mine = target.get(key)
+            if mine is None or list(mine["boundaries"]) != list(data["boundaries"]):
+                target[key] = dict(data)
+                continue
+            merged = Histogram.from_dict(mine)
+            theirs = Histogram.from_dict(data)
+            merged.counts = [a + b for a, b in zip(merged.counts, theirs.counts)]
+            merged.sum += theirs.sum
+            merged.count += theirs.count
+            merged.min = min(merged.min, theirs.min)
+            merged.max = max(merged.max, theirs.max)
+            target[key] = merged.to_dict()
+    return MetricsSnapshot(counters=counters, gauges=gauges, histograms=histograms)

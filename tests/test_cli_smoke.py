@@ -234,11 +234,12 @@ def test_fleet_watch_requires_state_dir(capsys):
         ["--spec", "no-homes.jsonl"],
         ["--spec", "home-not-an-object.jsonl"],
         ["--spec", "home-no-devices.jsonl"],
+        ["--spec", "declares-9-has-1.jsonl"],
     ],
     ids=[
         "homes-0", "missing-spec", "machines-0", "machines-negative", "timeout-negative",
         "spec-not-a-fleet", "spec-homes-not-a-list", "spec-no-homes", "jsonl-spec-no-homes",
-        "jsonl-home-not-an-object", "jsonl-home-no-devices",
+        "jsonl-home-not-an-object", "jsonl-home-no-devices", "jsonl-declared-count-mismatch",
     ],
 )
 def test_fleet_rejects_bad_input(tmp_path, monkeypatch, capsys, argv):
@@ -251,6 +252,10 @@ def test_fleet_rejects_bad_input(tmp_path, monkeypatch, capsys, argv):
     (tmp_path / "home-not-an-object.jsonl").write_text('{"fleet": {"name": "f", "seed": 0}}\n[1]\n')
     (tmp_path / "home-no-devices.jsonl").write_text(
         '{"fleet": {"name": "f", "seed": 0}}\n{"home_id": "h"}\n'
+    )
+    (tmp_path / "declares-9-has-1.jsonl").write_text(
+        '{"fleet": {"name": "f", "seed": 0, "n_homes": 9}}\n'
+        '{"home_id": "h", "devices": ["SP10"]}\n'
     )
     assert main(["fleet", *argv]) == 2
     captured = capsys.readouterr()

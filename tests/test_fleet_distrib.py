@@ -27,9 +27,11 @@ import sys
 
 import pytest
 
+from repro.cli import main
 from repro.fleet import (
     DistribCoordinator,
     DistribError,
+    FleetMonitor,
     FleetRunner,
     RangeSpecStream,
     SubmissionMismatch,
@@ -511,3 +513,45 @@ class TestMonitorIntegration:
         for path in dirs:
             assert os.path.basename(path) == "telemetry-0001"
             assert os.path.isdir(path)
+
+    def test_monitor_watches_every_range(self, clean_distrib):
+        state_dir, _, _ = clean_distrib
+        monitor = FleetMonitor(state_dir)
+        snap = monitor.poll()
+        assert snap.status == "done"
+        assert (snap.completed, snap.planned) == (N_HOMES, N_HOMES)
+        assert [directory for directory, _ in monitor.parts] == machine_telemetry_dirs(
+            state_dir
+        )
+
+    def test_re_leased_range_counts_every_epoch(self, tmp_path, capsys):
+        """Range 0's first machine is SIGKILLed after one home; the
+        re-leased epoch resumes from its journal.  The dashboard still
+        counts the whole range, that first home included."""
+        state_dir = str(tmp_path / "state")
+        coordinator = DistribCoordinator(
+            _spec(),
+            state_dir=state_dir,
+            machines=2,
+            machine_faults=[MachineFault("kill", 0, after_homes=1)],
+        )
+        coordinator.run()
+        assert coordinator.stats["re_leases"] >= 1
+        monitor = FleetMonitor(state_dir)
+        snap = monitor.poll()
+        assert snap.status == "done"
+        assert (snap.completed, snap.planned, snap.ok) == (N_HOMES, N_HOMES, N_HOMES)
+        assert snap.homes_per_sec > 0
+        (re_leased, part), = [
+            (directory, part) for directory, part in monitor.parts
+            if os.path.basename(directory) != "telemetry-0001"
+        ]
+        start, stop = partition_ranges(N_HOMES, 2)[0]
+        assert range_dir_name(0) in re_leased
+        assert (part.completed, part.planned) == (stop - start, stop - start)
+        assert (part.ok, part.resumed_from) == (stop - start, 1)
+
+        assert main(["fleet-top", "--state-dir", state_dir]) == 0
+        out = capsys.readouterr().out
+        assert f"progress  {N_HOMES}/{N_HOMES} homes (100%)" in out
+        assert "DONE" in out

@@ -1,5 +1,6 @@
 """Tests for fleet specifications: derivation, validation, round-trips."""
 
+import hashlib
 import json
 
 import pytest
@@ -177,6 +178,43 @@ class TestSpecStreams:
         (home,) = tuple(stream.iter_homes())
         assert home.seed == home_seed(4, "home-x")
         assert stream.n_homes == 1  # counted, not declared
+
+    @pytest.mark.parametrize(
+        "n_homes, declared, blank_lines, final_newline",
+        [
+            (5, None, 2, True),
+            (5, None, 0, False),
+            (1, None, 0, False),
+            (5, 5, 1, False),
+        ],
+        ids=["blank-lines", "no-final-newline", "one-home-no-final-newline", "declared-matches"],
+    )
+    def test_jsonl_counts_home_lines(self, tmp_path, n_homes, declared, blank_lines, final_newline):
+        """``n_homes`` is the number of home lines: blank lines are not
+        homes and the last home needs no trailing newline."""
+        spec = generate_fleet(n_homes, seed=6)
+        header = json.dumps({"fleet": {"name": "f", "seed": 6, "n_homes": declared}})
+        homes = [json.dumps(home.to_dict()) for home in spec.homes]
+        body = "\n".join([header] + homes[:1] + [""] * blank_lines + homes[1:])
+        path = tmp_path / "fleet.jsonl"
+        path.write_bytes((body + ("\n" if final_newline else "")).encode())
+        stream = JsonlSpecStream(str(path))
+        assert stream.n_homes == n_homes
+        assert tuple(stream.iter_homes()) == spec.homes
+        assert stream.digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_jsonl_rejects_wrong_declared_count(self, tmp_path):
+        spec = generate_fleet(5, seed=6)
+        path = tmp_path / "fleet.jsonl"
+        path.write_text(
+            "\n".join(
+                [json.dumps({"fleet": {"name": "f", "seed": 6, "n_homes": 9}})]
+                + [json.dumps(home.to_dict()) for home in spec.homes]
+            )
+            + "\n"
+        )
+        with pytest.raises(ValueError, match="declares n_homes=9 but the spec has 5 homes"):
+            JsonlSpecStream(str(path))
 
     def test_jsonl_rejects_missing_header(self, tmp_path):
         path = str(tmp_path / "bad.jsonl")

@@ -14,6 +14,7 @@ The telemetry contract has two halves and these tests pin both:
 """
 
 import os
+import shutil
 import signal
 
 import pytest
@@ -31,13 +32,19 @@ from repro.fleet import (
     run_home,
     telemetry_dir_for,
 )
+from repro.fleet.distrib import LEDGER_NAME
 from repro.fleet.telemetry import (
     RUN_CHANNEL,
     emit_worker_frame,
+    fold_frames,
     load_frames,
+    merge_monitor_snapshots,
     read_frames,
 )
 from repro.fleet.worker import run_home_traced
+
+from test_fleet_dashboard_pin import CASES as PIN_CASES
+from test_fleet_dashboard_pin import _write_state_dir as write_pinned_state_dir
 
 
 def _spec(n=3, seed=0, **kwargs):
@@ -301,8 +308,6 @@ class TestLoadLatestAggregate:
 
     def test_every_snapshot_corrupt_raises_like_resume(self, tmp_path, finished_run):
         """No readable snapshot means no folded prefix, not an empty fleet."""
-        import shutil
-
         state_dir, spec, _ = finished_run
         copy = str(tmp_path / "state")
         shutil.copytree(state_dir, copy)
@@ -340,8 +345,6 @@ class TestMonitorHardening:
             os.rmdir(evil)
 
     def test_truncated_channel_mid_watch(self, tmp_path, finished_run):
-        import shutil
-
         state_dir, _, _ = finished_run
         tdir = str(tmp_path / "telemetry")
         shutil.copytree(telemetry_dir_for(state_dir), tdir)
@@ -358,49 +361,144 @@ class TestMonitorHardening:
         # must treat them as telemetry dirs, not state dirs
         tdir = str(tmp_path / "telemetry-0003")
         writer = TelemetryWriter(tdir, RUN_CHANNEL)
-        writer.emit({"kind": "run-start", "planned": 1, "jobs": 1, "fleet": "x"})
+        writer.emit("run-start", planned=1, jobs=1, fleet="x")
         writer.close()
         snap = FleetMonitor(tdir).poll()
         assert snap.n_frames == 1
+        assert (snap.fleet, snap.planned) == ("x", 1)
+
+    def test_emit_after_close_is_silent(self, tmp_path):
+        writer = TelemetryWriter(str(tmp_path), RUN_CHANNEL)
+        writer.emit("run-start", planned=1)
+        writer.close()
+        writer.emit("progress", completed=1)  # a late heartbeat: no error
+        assert [f["kind"] for f in read_frames(writer.path)] == ["run-start"]
 
 
-class TestMultiFleetMonitor:
-    def test_sums_across_dirs(self, finished_run):
-        from repro.fleet import MultiFleetMonitor
+def _coordinator_dir(root, *range_dirs):
+    """A coordinator-shaped dir: a ledger plus ``range-NNNN/telemetry-0001``
+    copies of the given telemetry dirs (``None`` gives an empty one)."""
+    state_dir = str(root / "coordinator")
+    os.makedirs(state_dir)
+    open(os.path.join(state_dir, LEDGER_NAME), "wb").close()
+    for index, source in enumerate(range_dirs):
+        _add_range(state_dir, index, source)
+    return state_dir
 
+
+def _add_range(state_dir, index, source):
+    target = os.path.join(state_dir, f"range-{index:04d}", "telemetry-0001")
+    if source is None:
+        os.makedirs(target)
+    else:
+        shutil.copytree(source, target)
+    return target
+
+
+class TestMultiDirMonitor:
+    def test_sums_across_dirs(self, tmp_path, finished_run):
         state_dir, spec, _ = finished_run
         tdir = telemetry_dir_for(state_dir)
-        monitor = MultiFleetMonitor([tdir, tdir])
+        coordinator = _coordinator_dir(tmp_path, tdir, tdir)
+        monitor = FleetMonitor(coordinator)
         snap = monitor.poll()
         assert snap.status == "done"
         assert snap.completed == 2 * len(spec.homes)
         assert snap.planned == 2 * len(spec.homes)
         assert len(monitor.parts) == 2
         body = monitor.render(snap)
-        assert "2 machine dir(s)" in body
-        assert body.count(tdir) == 2
+        assert f"{coordinator} (2 telemetry dirs)" in body
+        assert f"{2 * len(spec.homes)}/{2 * len(spec.homes)} homes (100%)" in body
+        for directory, _ in monitor.parts:
+            assert body.count(directory) == 1
 
-    def test_vanished_dir_is_merged_as_idle(self, tmp_path, finished_run):
-        from repro.fleet import MultiFleetMonitor
-
+    def test_unheard_range_keeps_fleet_running(self, tmp_path, finished_run):
         state_dir, spec, _ = finished_run
-        tdir = telemetry_dir_for(state_dir)
-        missing = str(tmp_path / "gone")
-        monitor = MultiFleetMonitor([tdir, missing])
-        snap = monitor.poll()  # must not traceback
+        coordinator = _coordinator_dir(tmp_path, telemetry_dir_for(state_dir), None)
+        snap = FleetMonitor(coordinator).poll()  # must not traceback
         assert snap.completed == len(spec.homes)
         # one range done, one not heard from: the fleet is not "done"
         assert snap.status == "running"
 
-    def test_callable_dirs_reresolved_each_poll(self, finished_run):
-        from repro.fleet import MultiFleetMonitor
-
+    def test_dirs_reresolved_each_poll(self, tmp_path, finished_run):
         state_dir, _, _ = finished_run
         tdir = telemetry_dir_for(state_dir)
-        dirs = [tdir]
-        monitor = MultiFleetMonitor(lambda: list(dirs))
+        coordinator = _coordinator_dir(tmp_path, tdir)
+        monitor = FleetMonitor(coordinator)
         assert len(monitor.poll().in_flight) == 0
         assert len(monitor.parts) == 1
-        dirs.append(tdir)  # a re-lease appeared
+        _add_range(coordinator, 1, tdir)  # a fresh range appeared
         monitor.poll()
         assert len(monitor.parts) == 2
+
+    def test_coordinator_without_ranges_is_idle(self, tmp_path):
+        monitor = FleetMonitor(_coordinator_dir(tmp_path))
+        assert monitor.poll().status == "idle"
+        assert "no telemetry frames yet" in monitor.render()
+
+
+class TestMerge:
+    @pytest.mark.parametrize("case", sorted(PIN_CASES))
+    def test_merging_one_part_returns_it(self, tmp_path, case):
+        channels, now = PIN_CASES[case]
+        _, telemetry = write_pinned_state_dir(tmp_path, channels)
+        part = fold_frames(telemetry, now)
+        assert merge_monitor_snapshots([part]) == part
+
+    def test_stale_part_makes_fleet_stale(self, tmp_path):
+        channels, now = PIN_CASES["stale"]
+        _, stale_dir = write_pinned_state_dir(tmp_path / "a", channels)
+        channels, _ = PIN_CASES["done"]
+        _, done_dir = write_pinned_state_dir(tmp_path / "b", channels)
+        stale, done = fold_frames(stale_dir, now), fold_frames(done_dir, now)
+        merged = merge_monitor_snapshots([done, stale])
+        assert merged.status == "stale"
+        assert merged.completed == stale.completed + done.completed
+        assert merged.planned == stale.planned + done.planned
+        assert merged.age_s == min(stale.age_s, done.age_s)
+
+    def test_rate_sums_running_parts_else_all(self, tmp_path):
+        parts = [
+            fold_frames(write_pinned_state_dir(tmp_path / name, PIN_CASES[name][0])[1], 50.0)
+            for name in ("running", "done")
+        ]
+        running, done = parts
+        assert running.status == "running" and done.status == "done"
+        assert merge_monitor_snapshots(parts).homes_per_sec == running.homes_per_sec
+        assert merge_monitor_snapshots([done, done]).homes_per_sec == 2 * done.homes_per_sec
+
+    def test_machine_start_counts_the_whole_range(self, tmp_path):
+        """A re-leased machine's runner sees only the uncovered suffix;
+        its ``machine-start`` frame carries the tally of the homes
+        earlier epochs covered, and the fold adds it to the runner's."""
+        tdir = str(tmp_path / "telemetry-0002")
+        with TelemetryWriter(tdir, "machine.jsonl") as machine:
+            machine.emit(
+                "machine-start", range=1, epoch=2, planned=5,
+                completed=2, ok=1, failed=1, quarantined=1,
+            )
+        with TelemetryWriter(tdir) as writer:
+            writer.emit("run-start", fleet="f", planned=3, jobs=1, backend="serial")
+            writer.emit("progress", completed=2, ok=2, failed=0, quarantined=0,
+                        elapsed_s=1.0, homes_per_sec=2.0)
+            running = FleetMonitor(tdir).poll()
+            assert (running.completed, running.planned) == (4, 5)
+            assert (running.ok, running.failed, running.quarantined) == (3, 1, 1)
+            assert running.resumed_from == 2
+            assert running.eta_s == pytest.approx(0.5)
+            writer.emit("final", status="done", completed=3, elapsed_s=1.5)
+        done = FleetMonitor(tdir).poll()
+        assert done.status == "done"
+        assert (done.completed, done.planned) == (5, 5)
+
+    def test_fully_covered_range_is_done(self, tmp_path):
+        """A re-lease whose predecessor logged every home runs no runner."""
+        tdir = str(tmp_path / "telemetry-0002")
+        with TelemetryWriter(tdir, "machine.jsonl") as machine:
+            machine.emit(
+                "machine-start", range=0, epoch=2, planned=2,
+                completed=2, ok=2, failed=0, quarantined=0,
+            )
+        snap = FleetMonitor(tdir).poll()
+        assert snap.status == "done"
+        assert (snap.completed, snap.planned, snap.ok) == (2, 2, 2)

@@ -1,11 +1,13 @@
-"""Property tests for the MetricsSnapshot merge algebra.
+"""Property tests for the exact snapshot merge algebra.
 
 Fleet aggregation (`repro.fleet.aggregate`) folds per-home snapshots
-with :meth:`MetricsSnapshot.merge` in spec order, and its determinism
-contract rests on merge behaving like a well-defined shard union:
-commutative and associative over shard-disjoint gauges, with the empty
-snapshot as identity.  These tests exercise those laws over randomly
-generated shard populations rather than hand-picked examples.
+through one exact :class:`~repro.obs.mergetree.SnapshotAccumulator` in
+spec order, and :func:`~repro.obs.mergetree.merge_snapshots` is that
+same fold over a finished sequence.  The fleet's determinism contract
+rests on it behaving like a well-defined shard union: associative,
+commutative over shard-disjoint gauges, with the empty snapshot as
+identity.  These tests exercise those laws over randomly generated
+shard populations rather than hand-picked examples.
 
 Generator notes (the laws are *conditional*, and the conditions mirror
 how the fleet actually shards):
@@ -13,8 +15,8 @@ how the fleet actually shards):
 * gauges are last-writer-wins on conflict, so each generated shard
   carries shard-unique gauge labels — exactly what per-home workers
   produce — and a separate test documents the conflicting-label case;
-* all values are integer-valued so float addition is exact and
-  associativity can be asserted byte-for-byte;
+* all values are integer-valued, so every result is exact and the laws
+  can be asserted byte for byte;
 * histogram boundaries are pinned per metric name, as the registry
   pins them in production.
 """
@@ -23,6 +25,7 @@ import random
 
 import pytest
 
+from repro.obs.mergetree import merge_snapshots
 from repro.obs.registry import Histogram, MetricsRegistry, MetricsSnapshot
 
 #: Counter families sampled by the generator (names mirror production).
@@ -71,27 +74,27 @@ def make_shards(seed: int, n: int = 5):
 class TestMergeLaws:
     def test_commutative(self, seed):
         a, b = make_shards(seed, n=2)
-        assert a.merge(b).to_json() == b.merge(a).to_json()
+        assert merge_snapshots([a, b]).to_json() == merge_snapshots([b, a]).to_json()
 
     def test_associative(self, seed):
         a, b, c = make_shards(seed, n=3)
-        assert a.merge(b).merge(c).to_json() == a.merge(b.merge(c)).to_json()
+        left = merge_snapshots([merge_snapshots([a, b]), c])
+        right = merge_snapshots([a, merge_snapshots([b, c])])
+        assert left.to_json() == right.to_json() == merge_snapshots([a, b, c]).to_json()
 
     def test_identity_with_empty(self, seed):
         (a,) = make_shards(seed, n=1)
         empty = MetricsSnapshot()
-        assert empty.merge(a).to_json() == a.to_json()
-        assert a.merge(empty).to_json() == a.to_json()
-        assert empty.merge(empty).to_json() == MetricsSnapshot().to_json()
+        assert merge_snapshots([empty, a]).to_json() == a.to_json()
+        assert merge_snapshots([a, empty]).to_json() == a.to_json()
+        assert merge_snapshots([a]).to_json() == a.to_json()
+        assert merge_snapshots([empty, empty]).to_json() == MetricsSnapshot().to_json()
 
     def test_fold_order_independent(self, seed):
         """Any shard permutation folds to the same population snapshot."""
         shards = make_shards(seed, n=6)
         def fold(ordering):
-            merged = MetricsSnapshot()
-            for shard in ordering:
-                merged = merged.merge(shard)
-            return merged.to_json()
+            return merge_snapshots(ordering).to_json()
 
         reference = fold(shards)
         shuffled = list(shards)
@@ -104,13 +107,13 @@ class TestMergeSemantics:
     def test_merge_leaves_operands_unchanged(self):
         a, b = make_shards(3, n=2)
         before_a, before_b = a.to_json(), b.to_json()
-        a.merge(b)
+        merge_snapshots([a, b])
         assert a.to_json() == before_a and b.to_json() == before_b
 
     def test_counters_add(self):
         a = MetricsSnapshot(counters={"x_total": {"k=1": 2.0}})
         b = MetricsSnapshot(counters={"x_total": {"k=1": 3.0, "k=2": 1.0}})
-        merged = a.merge(b)
+        merged = merge_snapshots([a, b])
         assert merged.counters["x_total"] == {"k=1": 5.0, "k=2": 1.0}
 
     def test_conflicting_gauge_labels_take_last_writer(self):
@@ -120,8 +123,8 @@ class TestMergeSemantics:
         shard-unique keys (or strip them) before aggregation."""
         a = MetricsSnapshot(gauges={"epoch": {"": 1.0}})
         b = MetricsSnapshot(gauges={"epoch": {"": 7.0}})
-        assert a.merge(b).gauges["epoch"][""] == 7.0
-        assert b.merge(a).gauges["epoch"][""] == 1.0
+        assert merge_snapshots([a, b]).gauges["epoch"][""] == 7.0
+        assert merge_snapshots([b, a]).gauges["epoch"][""] == 1.0
 
     def test_histogram_counts_and_sidecars_add(self):
         bounds = (1.0, 10.0)
@@ -130,7 +133,7 @@ class TestMergeSemantics:
         two.observe(20.0)
         a = MetricsSnapshot(histograms={"h": {"": one.to_dict()}})
         b = MetricsSnapshot(histograms={"h": {"": two.to_dict()}})
-        merged = a.merge(b).histogram("h")
+        merged = merge_snapshots([a, b]).histogram("h")
         assert merged is not None
         assert merged.count == 2
         assert merged.sum == 20.5
@@ -157,7 +160,7 @@ class TestMergeEdgeCases:
         assert len(over.counters["c"]) == 4  # 3 real + the overflow bucket
         assert over.counters["c"]['_overflow=true'] == 1.0
         # Capped shards still merge like any other shard.
-        merged = over.merge(over)
+        merged = merge_snapshots([over, over])
         assert merged.counters["c"]['_overflow=true'] == 2.0
 
     def test_histogram_merge_over_disjoint_label_sets(self):
@@ -170,7 +173,7 @@ class TestMergeEdgeCases:
         two.observe(20.0)
         a = MetricsSnapshot(histograms={"h": {"device=A": one.to_dict()}})
         b = MetricsSnapshot(histograms={"h": {"device=B": two.to_dict()}})
-        merged = a.merge(b)
+        merged = merge_snapshots([a, b])
         assert set(merged.histograms["h"]) == {"device=A", "device=B"}
         left = merged.histogram("h", "device=A")
         right = merged.histogram("h", "device=B")
@@ -182,10 +185,7 @@ class TestMergeEdgeCases:
         the same bytes as one without them."""
         shards = make_shards(11, n=4)
         def fold(sequence):
-            merged = MetricsSnapshot()
-            for shard in sequence:
-                merged = merged.merge(shard)
-            return merged.to_json()
+            return merge_snapshots(sequence).to_json()
 
         with_empties = [MetricsSnapshot()]
         for shard in shards:
@@ -205,7 +205,7 @@ class TestPrometheusRendering:
         return registry.snapshot()
 
     def test_merged_population_renders_summed_series(self):
-        merged = self._shard(3, [0.5]).merge(self._shard(4, [2.0, 20.0]))
+        merged = merge_snapshots([self._shard(3, [0.5]), self._shard(4, [2.0, 20.0])])
         text = merged.render_prometheus()
         assert "# TYPE packets_total counter" in text
         assert 'packets_total{action="allow"} 7' in text

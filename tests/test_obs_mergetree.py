@@ -26,6 +26,7 @@ from repro.fleet import FleetAggregator
 from repro.obs.mergetree import SnapshotAccumulator, merge_snapshots
 from repro.obs.registry import Histogram, MetricsSnapshot
 
+from oracles import float_merge
 from test_obs_merge_properties import HISTOGRAMS, make_shards
 
 
@@ -72,7 +73,7 @@ def old_float_fold(shards) -> MetricsSnapshot:
     """The float fold the fleet aggregate used before the exact sums."""
     merged = MetricsSnapshot()
     for shard in shards:
-        merged = merged.merge(shard)
+        merged = float_merge(merged, shard)
     return merged
 
 

@@ -1,4 +1,4 @@
-"""Tests for the ``repro.obs`` metrics registry and snapshot algebra."""
+"""Tests for the ``repro.obs`` metrics registry and its snapshots."""
 
 import pytest
 
@@ -10,6 +10,7 @@ from repro.obs import (
     MetricsSnapshot,
     NULL_OBS,
     Observability,
+    merge_snapshots,
 )
 
 
@@ -142,22 +143,10 @@ class TestSnapshot:
         assert snapshot.counter_total("packets_total") == 7
         assert snapshot.histogram("lat_ms").count == 2
 
-    def test_delta(self):
-        registry = self._populated()
-        before = registry.snapshot()
-        registry.inc("packets_total", 3, action="allow")
-        registry.observe("lat_ms", 0.04)
-        registry.set_gauge("breaker_state", 2, component="ml")
-        interval = registry.snapshot().delta(before)
-        assert interval.counter_total("packets_total") == 3
-        assert interval.histogram("lat_ms").count == 1
-        # gauges are instantaneous: the later value is kept
-        assert interval.gauges["breaker_state"]["component=ml"] == 2
-
     def test_merge_adds_counters_and_histograms(self):
         a = self._populated().snapshot()
         b = self._populated().snapshot()
-        merged = a.merge(b)
+        merged = merge_snapshots([a, b])
         assert merged.counter_total("packets_total") == 14
         h = merged.histogram("lat_ms")
         assert h.count == 4
@@ -168,7 +157,7 @@ class TestSnapshot:
         a.inc("only_a")
         b = MetricsRegistry()
         b.inc("only_b", 5)
-        merged = a.snapshot().merge(b.snapshot())
+        merged = merge_snapshots([a.snapshot(), b.snapshot()])
         assert merged.counter_total("only_a") == 1
         assert merged.counter_total("only_b") == 5
 
