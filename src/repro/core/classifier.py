@@ -17,13 +17,12 @@ collapses accordingly.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
-
-import numpy as np
+from time import perf_counter
+from typing import Optional, Sequence
 
 from ..events.grouping import UnpredictableEvent
 from ..features.packet_features import event_features, event_labels, events_to_matrix
-from ..ml.base import Classifier
+from ..ml.base import Classifier, check_X
 from ..ml.naive_bayes import BernoulliNB
 from ..ml.preprocessing import StandardScaler
 from ..net.packet import Packet
@@ -78,11 +77,22 @@ class EventClassifier:
         if self.rule is not None:
             return "manual" if self.rule.is_manual_packets(packets) else "automated"
         event = UnpredictableEvent(packets=list(packets))
-        features = event_features(event, self.first_n).reshape(1, -1)
-        if self.scaler is not None:
-            features = self.scaler.transform(features)
+        row = event_features(event, self.first_n).reshape(1, -1)
+        # The one validation of the row (finite, scaler-wide); the model
+        # then predicts it without checking it again.
+        row = self.scaler.transform(row) if self.scaler is not None else check_X(row)
         assert self.model is not None
-        return str(self.model.timed_predict(features, obs=self.obs, device=self.device)[0])
+        if not self.obs.enabled:
+            return str(self.model._predict_checked(row)[0])
+        t0 = perf_counter()
+        label = self.model._predict_checked(row)[0]
+        self.obs.observe(
+            "ml_predict_latency_ms",
+            (perf_counter() - t0) * 1000.0,
+            model=type(self.model).__name__,
+            device=self.device,
+        )
+        return str(label)
 
     def is_manual(self, packets: Sequence[Packet]) -> bool:
         """Collapse to the manual / non-manual decision the proxy needs."""

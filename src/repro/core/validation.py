@@ -14,8 +14,6 @@ from dataclasses import asdict, dataclass
 from time import perf_counter
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from ..crypto.replay import ReplayCache
 from ..obs import NULL_OBS, Observability
 from ..quic.channel import AuthMessage, ChannelReceiver
@@ -88,12 +86,12 @@ class HumanValidationService:
             return None
         if self.obs.enabled:
             t0 = perf_counter()
-            human = self.validator.is_human_features(np.asarray(message.sensor_features))
+            human = self.validator.is_human_features(message.sensor_features)
             self.obs.observe(
                 "humanness_validation_latency_ms", (perf_counter() - t0) * 1000.0
             )
         else:
-            human = self.validator.is_human_features(np.asarray(message.sensor_features))
+            human = self.validator.is_human_features(message.sensor_features)
         if not human:
             self.n_non_human += 1
         self.obs.inc(

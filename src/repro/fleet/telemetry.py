@@ -284,6 +284,73 @@ def _eta(snapshot: MonitorSnapshot) -> Optional[float]:
     return None
 
 
+def _earlier_epoch_dirs(directory: str) -> List[str]:
+    """Telemetry dirs of the earlier lease epochs of a machine's range.
+
+    ``directory`` is one epoch's ``telemetry-NNNN``; its siblings with a
+    smaller epoch number are returned, newest first.  Any other dir has
+    none.
+    """
+    parent, name = os.path.split(os.path.normpath(directory))
+    stem = name[len(TELEMETRY_DIRNAME) + 1 :]
+    if not name.startswith(TELEMETRY_DIRNAME + "-") or not stem.isdecimal():
+        return []
+    # Late import: the coordinator module writes through this one.
+    from .distrib import TELEMETRY_DIR, range_store
+
+    store = range_store(parent)
+    return [
+        store.path(TELEMETRY_DIR, epoch)
+        for epoch in reversed(store.epochs(TELEMETRY_DIR))
+        if epoch < int(stem)
+    ]
+
+
+def _carried_home_ends(
+    directory: str, frames: Sequence[Dict[str, object]]
+) -> List[Dict[str, object]]:
+    """``home-end`` frames of earlier lease epochs, for homes not rerun since.
+
+    Their counts are already in the ``machine-start`` tally; these
+    frames add only their per-phase timings.  A home that ended in more
+    than one epoch keeps the newest epoch's frames.
+    """
+    ended = {str(f.get("home", "")) for f in frames if f.get("kind") == "home-end"}
+    carried: List[Dict[str, object]] = []
+    for older in _earlier_epoch_dirs(directory):
+        ends = [
+            frame
+            for frame in load_frames(older)
+            if frame.get("kind") == "home-end" and str(frame.get("home", "")) not in ended
+        ]
+        ended.update(str(frame.get("home", "")) for frame in ends)
+        carried = ends + carried
+    return carried
+
+
+def _fold_home_end(
+    snapshot: MonitorSnapshot,
+    frame: Dict[str, object],
+    finished: List[Tuple[str, float, str]],
+) -> None:
+    """Add one ``home-end`` frame's phase timings to the digests."""
+    phases = frame.get("phases")
+    if not isinstance(phases, dict):
+        return
+    summed = 0.0
+    dominant, dominant_s = "", -1.0
+    for phase, seconds in sorted(phases.items()):
+        seconds = float(seconds)
+        snapshot.phases.setdefault(str(phase), PhaseDigest()).add(seconds)
+        if phase == "total":  # the sum, not a phase
+            continue
+        summed += seconds
+        if seconds > dominant_s:
+            dominant, dominant_s = str(phase), seconds
+    total = float(phases.get("total", summed) or summed)
+    finished.append((str(frame.get("home", "")), total, dominant))
+
+
 def fold_frames(
     directory: str, now: float, stale_after_s: float = STALE_AFTER_S
 ) -> MonitorSnapshot:
@@ -292,7 +359,8 @@ def fold_frames(
     A distributed machine's ``machine-start`` frame gives its range's
     size and the tally of the homes earlier lease epochs covered; the
     epoch's runner then counts only the rest of the range, so its
-    counts are added to that tally.
+    counts are added to that tally.  The phase digests and slowest rows
+    also take the ``home-end`` timings of those earlier epochs.
     """
     frames = load_frames(directory)
     snapshot = MonitorSnapshot(n_frames=len(frames))
@@ -302,6 +370,8 @@ def fold_frames(
     carried = dict.fromkeys(CARRIED_COUNTS, 0)
     open_homes: Dict[Tuple[int, str], float] = {}
     finished: List[Tuple[str, float, str]] = []
+    for frame in _carried_home_ends(directory, frames):
+        _fold_home_end(snapshot, frame, finished)
     newest_t = 0.0
     for frame in frames:
         kind = frame.get("kind")
@@ -352,20 +422,7 @@ def fold_frames(
         elif kind == "home-end":
             key = (int(frame.get("pid", 0)), str(frame.get("home", "")))
             open_homes.pop(key, None)
-            phases = frame.get("phases")
-            if isinstance(phases, dict):
-                summed = 0.0
-                dominant, dominant_s = "", -1.0
-                for phase, seconds in sorted(phases.items()):
-                    seconds = float(seconds)
-                    snapshot.phases.setdefault(str(phase), PhaseDigest()).add(seconds)
-                    if phase == "total":  # the sum, not a phase
-                        continue
-                    summed += seconds
-                    if seconds > dominant_s:
-                        dominant, dominant_s = str(phase), seconds
-                total = float(phases.get("total", summed) or summed)
-                finished.append((str(frame.get("home", "")), total, dominant))
+            _fold_home_end(snapshot, frame, finished)
 
     snapshot.slowest = sorted(finished, key=lambda row: -row[1])[:SLOWEST_ROWS]
     snapshot.in_flight = sorted(

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import copy
 import inspect
-from time import perf_counter
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -29,7 +28,7 @@ def check_X(X: Any) -> np.ndarray:
         raise ValueError(f"X must be 2-D, got shape {X.shape}")
     if X.shape[0] == 0 or X.shape[1] == 0:
         raise ValueError(f"X must be non-empty, got shape {X.shape}")
-    if not np.all(np.isfinite(X)):
+    if not np.isfinite(X).all():
         raise ValueError("X contains NaN or infinite values")
     return X
 
@@ -72,25 +71,13 @@ class Classifier:
             f"{type(self).__name__} does not implement predict_proba"
         )
 
-    def timed_predict(self, X: Any, obs: Any = None, **labels: Any) -> np.ndarray:
-        """Predict, feeding inference latency into an observability handle.
+    def _predict_checked(self, X: np.ndarray) -> np.ndarray:
+        """:meth:`predict` for an ``X`` that :func:`check_X` already accepted.
 
-        ``obs`` is an (optional) :class:`repro.obs.Observability`; when
-        absent or disabled this is exactly :meth:`predict`.  Latency
-        lands in the ``ml_predict_latency_ms`` histogram labelled with
-        the concrete model class plus any caller-supplied labels.
+        Models that can skip the second validation override this; the
+        default validates again.
         """
-        if obs is None or not obs.enabled:
-            return self.predict(X)
-        t0 = perf_counter()
-        out = self.predict(X)
-        obs.observe(
-            "ml_predict_latency_ms",
-            (perf_counter() - t0) * 1000.0,
-            model=type(self).__name__,
-            **labels,
-        )
-        return out
+        return self.predict(X)
 
     def score(self, X: Any, y: Any) -> float:
         """Mean accuracy on ``(X, y)``."""

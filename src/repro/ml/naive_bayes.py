@@ -61,15 +61,21 @@ class BernoulliNB(Classifier):
         jll = Xb @ self.feature_log_prob_.T + (1.0 - Xb) @ self._neg_log_prob.T
         return jll + self.class_log_prior_
 
-    def predict_proba(self, X: Any) -> np.ndarray:
-        """Posterior class probabilities."""
+    def _posterior(self, X: np.ndarray) -> np.ndarray:
         if self.feature_log_prob_ is None:
             raise RuntimeError("classifier must be fitted before predict")
-        X = check_X(X)
         jll = self._joint_log_likelihood(X)
         jll -= jll.max(axis=1, keepdims=True)
         expd = np.exp(jll)
         return expd / expd.sum(axis=1, keepdims=True)
+
+    def predict_proba(self, X: Any) -> np.ndarray:
+        """Posterior class probabilities."""
+        return self._posterior(check_X(X))
+
+    def _predict_checked(self, X: np.ndarray) -> np.ndarray:
+        proba = self._posterior(X)
+        return self.classes_[np.argmax(proba, axis=1)]
 
 
 class GaussianNB(Classifier):

@@ -10,8 +10,8 @@ Used three ways in the reproduction, as in the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Optional
+from dataclasses import dataclass, field
+from typing import Any, List, Optional, Sequence
 
 import numpy as np
 
@@ -22,13 +22,24 @@ __all__ = ["DecisionTreeClassifier"]
 
 @dataclass
 class _Node:
-    """One tree node; leaves carry class-count distributions."""
+    """One tree node; leaves carry class-count distributions.
+
+    ``label`` is the index of the class a leaf predicts, fixed when the
+    node is built: the argmax of ``counts / total`` (ties to the first
+    class; an empty node's uniform distribution gives class 0).
+    """
 
     counts: np.ndarray
     feature: int = -1
     threshold: float = 0.0
     left: Optional["_Node"] = None
     right: Optional["_Node"] = None
+    label: int = field(init=False, default=0)
+
+    def __post_init__(self) -> None:
+        total = self.counts.sum()
+        if total:
+            self.label = int(np.argmax(self.counts / total))
 
     @property
     def is_leaf(self) -> bool:
@@ -182,20 +193,34 @@ class DecisionTreeClassifier(Classifier):
 
     # -- inference ----------------------------------------------------------------
 
-    def _leaf_for(self, x: np.ndarray) -> _Node:
+    def _rows(self, X: Any) -> List[List[float]]:
+        """The validated rows of ``X`` as lists of Python floats."""
+        if self._root is None:
+            raise RuntimeError("classifier must be fitted before predict")
+        return check_X(X).tolist()
+
+    def _leaf_for(self, x: Sequence[float]) -> _Node:
         node = self._root
-        while not node.is_leaf:
+        while node.left is not None:
             node = node.left if x[node.feature] <= node.threshold else node.right
         return node
 
+    def predict(self, X: Any) -> np.ndarray:
+        """Label of the leaf each sample lands in.
+
+        One walk per row over its floats; the leaf's label was fixed at
+        fit time, so a one-row call (the humanness validator's, once per
+        proof) costs the validation of the row plus one walk.
+        """
+        labels = [self._leaf_for(row).label for row in self._rows(X)]
+        return self.classes_[labels]
+
     def predict_proba(self, X: Any) -> np.ndarray:
         """Class distribution of the leaf each sample lands in."""
-        if self._root is None:
-            raise RuntimeError("classifier must be fitted before predict")
-        X = check_X(X)
-        proba = np.empty((X.shape[0], len(self.classes_)))
-        for i, x in enumerate(X):
-            counts = self._leaf_for(x).counts
+        rows = self._rows(X)
+        proba = np.empty((len(rows), len(self.classes_)))
+        for i, row in enumerate(rows):
+            counts = self._leaf_for(row).counts
             total = counts.sum()
             proba[i] = counts / total if total else 1.0 / len(counts)
         return proba

@@ -6,13 +6,16 @@ the phone's TEE.  The proxy end verifies three things before accepting
 a proof: the signature (pre-authorized device), freshness (a timestamp
 within a small skew window), and non-replay (QUIC 0-RTT replays are
 rejected by a :class:`~repro.crypto.replay.ReplayCache`, as the paper
-proposes for few-device households).
+proposes for few-device households).  A signed proof whose body does
+not parse, or whose features are not 48 finite numbers, is rejected as
+malformed before anything reads its features.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
 import secrets
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -21,6 +24,7 @@ import numpy as np
 
 from ..crypto.keystore import SecureKeystore, SignedMessage
 from ..crypto.replay import ReplayCache
+from ..features.sensor_features import N_SENSOR_FEATURES
 from ..obs import NULL_OBS, Observability
 from .transport import NetworkPath, Transport, connection_latency
 
@@ -60,12 +64,22 @@ class AuthMessage:
 
     @classmethod
     def from_payload(cls, payload: bytes) -> "AuthMessage":
-        """Inverse of :meth:`to_payload`."""
+        """Inverse of :meth:`to_payload`.
+
+        Raises :class:`ValueError` unless the sensor features are
+        :data:`~repro.features.sensor_features.N_SENSOR_FEATURES` finite
+        numbers: the proxy's humanness validator reads exactly that row.
+        """
         body = json.loads(payload.decode("utf-8"))
+        features = tuple(map(float, body["sensor_features"]))
+        if len(features) != N_SENSOR_FEATURES or not all(map(math.isfinite, features)):
+            raise ValueError(
+                f"sensor features must be {N_SENSOR_FEATURES} finite numbers"
+            )
         return cls(
             app_package=str(body["app_package"]),
             device_id=str(body["device_id"]),
-            sensor_features=tuple(float(v) for v in body["sensor_features"]),
+            sensor_features=features,
             sent_at=float(body["sent_at"]),
             nonce=str(body["nonce"]),
             trace_id=str(body.get("trace_id", "")),
@@ -167,8 +181,9 @@ class ChannelReceiver:
         """Verify an incoming proof; return it if acceptable, else ``None``.
 
         Rejection reasons (recorded in :attr:`rejections`):
-        ``malformed`` (undecodable wire bytes or a signed payload whose
-        body cannot be parsed), ``bad-signature`` (unauthorized device
+        ``malformed`` (undecodable wire bytes, or a signed payload whose
+        body cannot be parsed or whose sensor features are not 48 finite
+        numbers), ``bad-signature`` (unauthorized device
         or tampering), ``stale`` (outside the freshness window) and
         ``replay``.
         """
@@ -184,7 +199,9 @@ class ChannelReceiver:
             message = AuthMessage.from_payload(signed.payload)
         except (KeyError, ValueError, TypeError):
             # Signed but malformed: a buggy (or hostile) app shipped a
-            # payload missing a key or carrying non-numeric features.
+            # payload missing a key or carrying features that are not 48
+            # finite numbers.  Rejected here, such a proof never reaches
+            # the validator, so it cannot count as a service failure.
             self._reject("malformed", now)
             return None
         if not (now - self.freshness_window_s <= message.sent_at <= now + 1.0):

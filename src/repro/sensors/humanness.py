@@ -14,7 +14,7 @@ rates in the Appendix-A model.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -104,15 +104,17 @@ class HumannessValidator:
         features = sensor_features(window).reshape(1, -1)
         return tree.predict(features)[0] == HUMAN_LABEL
 
-    def is_human_features(self, features: np.ndarray) -> bool:
+    def is_human_features(self, features: Sequence[float]) -> bool:
         """Validate a pre-extracted 48-feature vector.
 
         This is the form FIAT uses in deployment: the *app* extracts the
         features and the *proxy* runs the classifier, so raw sensor data
-        never leaves the phone unprocessed.
+        never leaves the phone unprocessed.  ``features`` is one row (a
+        sequence of floats, or a 1-D or ``(1, 48)`` array); NaN or
+        infinite values raise :class:`ValueError`.
         """
         tree = self._ensure_fitted()
-        return tree.predict(np.asarray(features).reshape(1, -1))[0] == HUMAN_LABEL
+        return tree.predict(features)[0] == HUMAN_LABEL
 
     def evaluate(
         self, n_per_class: int = 200, seed: Optional[int] = 1

@@ -70,6 +70,22 @@ def tree_lines(tree: DecisionTreeClassifier) -> List[str]:
     return lines
 
 
+def array_walk_proba(tree: DecisionTreeClassifier, X: np.ndarray) -> np.ndarray:
+    """Tree ``predict_proba`` walking each row as a float64 array.
+
+    The inference the tree used before leaf labels were fixed at fit
+    time; its labels are ``classes_[argmax(proba, axis=1)]``.
+    """
+    proba = np.empty((X.shape[0], len(tree.classes_)))
+    for i, x in enumerate(X):
+        node = tree._root
+        while not node.is_leaf:
+            node = node.left if x[node.feature] <= node.threshold else node.right
+        total = node.counts.sum()
+        proba[i] = node.counts / total if total else 1.0 / len(node.counts)
+    return proba
+
+
 def _count_peaks(samples: np.ndarray) -> int:
     if len(samples) < 3:
         return 0

@@ -13,10 +13,11 @@ from repro.core import (
     train_event_classifier,
 )
 from repro.crypto import ReplayCache, pair
-from repro.faults import FaultPlan, OutageWindow
+from repro.faults import BreakerState, FaultPlan, OutageWindow
 from repro.net import Direction, Packet, Trace, TrafficClass
 from repro.predictability import label_predictable
-from repro.sensors import HumannessValidator
+from repro.quic import AuthMessage
+from repro.sensors import HumannessValidator, generate_humanness_dataset
 from repro.testbed import profile_for
 from tests.conftest import make_packet
 
@@ -164,6 +165,36 @@ class TestAdversarialEdgeCases:
             proxy.receive_auth(wire, now=0.0)
         assert proxy.validation.n_rejected_channel == len(bad_payloads)
         assert proxy.validation.receiver.rejections.count("malformed") == len(bad_payloads)
+
+
+class TestNonFiniteProof:
+    def test_nan_features_do_not_open_validation_breaker(self):
+        """A signed proof whose features are not finite is a channel
+        ``malformed`` reject, not a validation-service failure: after as
+        many of them as the breaker's failure threshold, a genuine proof
+        still registers."""
+        proxy = _proxy()
+        keystore = proxy.validation.receiver.keystore
+        genuine = generate_humanness_dataset(n_per_class=1, seed=3)[0][0].tolist()
+        poisoned = list(genuine)
+        poisoned[7] = float("nan")
+
+        def proof(features, nonce, now):
+            message = AuthMessage(
+                app_package="app", device_id="phone", sensor_features=tuple(features),
+                sent_at=now, nonce=nonce,
+            )
+            return keystore.sign("fiat-pairing", message.to_payload()).to_wire()
+
+        threshold = proxy.config.breaker_failure_threshold
+        for i in range(threshold):
+            assert proxy.receive_auth(proof(poisoned, f"bad-{i}", 1.0 + i), now=1.0 + i) is None
+        assert proxy.validation.receiver.rejections == ["malformed"] * threshold
+        assert proxy.health["validation_errors"] == 0
+        assert proxy.breakers["validation"].state is BreakerState.CLOSED
+        interaction = proxy.receive_auth(proof(genuine, "good", 5.0), now=5.0)
+        assert interaction is not None and interaction.app_package == "app"
+        assert proxy.health["auth_dropped_breaker_open"] == 0
 
 
 def _system(config=None, seed=0, devices=("SP10",)):

@@ -58,6 +58,9 @@ from repro.faults import FaultPlan, MachineFault
 from repro.recovery.journal import JournalWriter, read_journal
 from repro.recovery.snapshot import read_snapshot
 
+#: the checkout these tests belong to; CLI subprocesses run its ``src``
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 N_HOMES = 4
 #: homes in the partitioned-machine tests
 ZOMBIE_HOMES = 6
@@ -468,11 +471,11 @@ class TestCoordinatorResume:
         ]
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
-            p for p in ("src", env.get("PYTHONPATH", "")) if p
+            p for p in (os.path.join(REPO_ROOT, "src"), env.get("PYTHONPATH", "")) if p
         )
         env["FIAT_DISTRIB_KILL_AFTER"] = "1"
         first = subprocess.run(
-            base, env=env, cwd="/root/repo", capture_output=True, text=True,
+            base, env=env, cwd=REPO_ROOT, capture_output=True, text=True,
             timeout=180,
         )
         assert first.returncode in (-signal.SIGKILL, 128 + signal.SIGKILL), (
@@ -481,7 +484,7 @@ class TestCoordinatorResume:
         )
         env.pop("FIAT_DISTRIB_KILL_AFTER")
         second = subprocess.run(
-            base + ["--resume"], env=env, cwd="/root/repo",
+            base + ["--resume"], env=env, cwd=REPO_ROOT,
             capture_output=True, text=True, timeout=180,
         )
         assert second.returncode == 0, (second.stdout, second.stderr)
@@ -542,6 +545,8 @@ class TestMonitorIntegration:
         assert snap.status == "done"
         assert (snap.completed, snap.planned, snap.ok) == (N_HOMES, N_HOMES, N_HOMES)
         assert snap.homes_per_sec > 0
+        # the killed epoch's home keeps its phase timings
+        assert snap.phases["total"].n == N_HOMES
         (re_leased, part), = [
             (directory, part) for directory, part in monitor.parts
             if os.path.basename(directory) != "telemetry-0001"

@@ -502,3 +502,38 @@ class TestMerge:
         snap = FleetMonitor(tdir).poll()
         assert snap.status == "done"
         assert (snap.completed, snap.planned, snap.ok) == (2, 2, 2)
+
+    def test_earlier_epochs_add_phase_timings_not_counts(self, tmp_path):
+        """Phase rows and slowest rows take the ``home-end`` timings of a
+        range's earlier lease epochs; a home rerun by a later epoch keeps
+        only the later timing, and the counts stay the tally's."""
+        range_dir = tmp_path / "range-0001"
+        with TelemetryWriter(str(range_dir / "telemetry-0001"), "worker-1.jsonl") as old:
+            old.emit("home-start", home="h0")
+            old.emit("home-end", home="h0", phases={"setup": 3.0, "total": 3.0})
+            old.emit("home-start", home="h1")
+            old.emit("home-end", home="h1", phases={"setup": 9.0, "total": 9.0})
+        tdir = str(range_dir / "telemetry-0002")
+        with TelemetryWriter(tdir, "machine.jsonl") as machine:
+            machine.emit(
+                "machine-start", range=1, epoch=2, planned=3,
+                completed=1, ok=1, failed=0, quarantined=0,
+            )
+        with TelemetryWriter(tdir, "worker-2.jsonl") as worker:
+            worker.emit("home-start", home="h1")
+            worker.emit("home-end", home="h1", phases={"setup": 1.0, "total": 1.0})
+            worker.emit("home-start", home="h2")
+            worker.emit("home-end", home="h2", phases={"setup": 2.0, "total": 2.0})
+        with TelemetryWriter(tdir) as writer:
+            writer.emit("run-start", fleet="f", planned=2, jobs=1, backend="serial")
+            writer.emit("progress", completed=2, ok=2, failed=0, quarantined=0,
+                        elapsed_s=1.0, homes_per_sec=2.0)
+            writer.emit("final", status="done", completed=2, elapsed_s=1.0)
+        snap = FleetMonitor(tdir).poll()
+        assert (snap.completed, snap.planned, snap.ok) == (3, 3, 3)
+        assert snap.phases["total"].n == 3
+        assert sorted(snap.phases["total"].samples) == [1.0, 2.0, 3.0]
+        assert [home for home, _, _ in snap.slowest] == ["h0", "h2", "h1"]
+        # the first epoch's own dir folds only itself
+        first = FleetMonitor(str(range_dir / "telemetry-0001")).poll()
+        assert first.phases["total"].n == 2
