@@ -5,8 +5,9 @@ Walks through the paper's threat model, one attacker at a time:
 1. **Account compromise** — a remote attacker injects a command through
    the hijacked vendor account; no human proof exists -> blocked.
 2. **Replay** — the attacker captured an old QUIC 0-RTT auth message and
-   resends it verbatim alongside a new command -> the replay cache
-   rejects the proof, the command is blocked.
+   resends it verbatim alongside a new command -> the channel rejects
+   the proof (``replay`` inside the 30 s freshness window, ``stale``
+   after it), the command is blocked.
 3. **Brute force** — repeated injections hoping for a classifier miss ->
    after three violations the device is disconnected (lockout friction).
 4. **Spyware piggyback** (§7) — spyware fires its command exactly while
@@ -59,7 +60,7 @@ def main() -> None:
     attack = AccountCompromiseAttack(cloud, seed=2).launch(DEVICE, start=replay_time + 0.5)
     executed = run_packets(system, attack.packets)
     rejections = system.validation.receiver.rejections
-    print(f"channel rejections so far: {rejections}")
+    print(f"channel rejections so far: {dict(rejections)}")
     print(f"command executed: {executed}   (expected: False — replay rejected)")
     system.proxy.unlock(DEVICE)
 

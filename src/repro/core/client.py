@@ -15,7 +15,7 @@ connection latency from :mod:`repro.quic.transport`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -145,11 +145,15 @@ class FiatApp:
     def _component_ms(self, mean: float, sd: float) -> float:
         return float(max(0.5, self._rng.normal(mean, sd)))
 
-    def authenticate(self, interaction: ManualInteraction, now: float) -> AuthAttempt:
-        """Produce a signed humanness proof for one app interaction.
+    def _sign(
+        self, interaction: ManualInteraction, now: float, mode: str
+    ) -> Tuple[bytes, Dict[str, float], str]:
+        """Sign one humanness proof: ``(wire, components, trace_id)``.
 
-        Extracts the 48 sensor features on-device (raw motion never
-        leaves the phone unprocessed), signs, and sends.
+        Draws the four on-phone component costs, extracts the 48 sensor
+        features on-device (raw motion never leaves the phone
+        unprocessed), mints the proof's trace ID and signs once; the
+        transport latency is drawn by the caller.
         """
         components = {
             "app_detection": self._component_ms(75.0, 9.0),
@@ -159,17 +163,23 @@ class FiatApp:
         }
         features = sensor_features(interaction.sensor_window)
         trace_id = self.obs.mint_trace("proof")
-        delivery = self.channel.send(
+        wire = self.channel.prepare(
             interaction.app_package, features.tolist(), now, trace_id=trace_id
         )
-        components["transport"] = delivery.latency_ms
-        self.obs.inc("proofs_sent_total", mode="single")
+        self.obs.inc("proofs_sent_total", mode=mode)
         self.obs.emit(
             "proof.signed", t=now, trace=trace_id, app_package=interaction.app_package
         )
-        return AuthAttempt(
-            wire=delivery.wire, sent_at=now, components=components, trace_id=trace_id
-        )
+        return wire, components, trace_id
+
+    def authenticate(self, interaction: ManualInteraction, now: float) -> AuthAttempt:
+        """Produce a signed humanness proof for one app interaction.
+
+        Signs once and draws one connection latency for the send.
+        """
+        wire, components, trace_id = self._sign(interaction, now, "single")
+        components["transport"] = self.channel.sample_latency()
+        return AuthAttempt(wire=wire, sent_at=now, components=components, trace_id=trace_id)
 
     def authenticate_reliable(
         self,
@@ -190,21 +200,7 @@ class FiatApp:
         to ``deliver`` at its arrival time.
         """
         policy = policy or RetryPolicy()
-        components = {
-            "app_detection": self._component_ms(75.0, 9.0),
-            "sensor_sampling": self._component_ms(250.0, 7.0),
-            "secure_storage": self._component_ms(50.0, 4.0),
-            "ml_validation": self._component_ms(2.3, 0.3),
-        }
-        features = sensor_features(interaction.sensor_window)
-        trace_id = self.obs.mint_trace("proof")
-        wire = self.channel.prepare(
-            interaction.app_package, features.tolist(), now, trace_id=trace_id
-        )
-        self.obs.inc("proofs_sent_total", mode="reliable")
-        self.obs.emit(
-            "proof.signed", t=now, trace=trace_id, app_package=interaction.app_package
-        )
+        wire, components, trace_id = self._sign(interaction, now, "reliable")
 
         deadline = now + policy.deadline_ms / 1000.0
         rto_ms = policy.initial_rto_ms

@@ -87,11 +87,6 @@ class FiatConfig:
     #: default: the crash harness models the un-synced tail as journal
     #: corruption/truncation, which recovery must tolerate either way.
     journal_fsync: bool = False
-    #: How recovery treats events left open by a crash: ``fail-closed``
-    #: drops undecided/manual-shaped open events (no packet rides through
-    #: on pre-crash optimism — the safe default), ``resume`` leaves them
-    #: open and lets the event-gap rule close them naturally.
-    recovery_reconcile: str = "fail-closed"
 
     # -- observability --------------------------------------------------------
     #: Shared :class:`~repro.obs.Observability` handle (metrics registry,
@@ -115,11 +110,6 @@ class FiatConfig:
             raise ValueError(
                 f"classifier_fallback must be 'assume-manual' or 'allow', "
                 f"got {self.classifier_fallback!r}"
-            )
-        if self.recovery_reconcile not in ("fail-closed", "resume"):
-            raise ValueError(
-                f"recovery_reconcile must be 'fail-closed' or 'resume', "
-                f"got {self.recovery_reconcile!r}"
             )
         if self.snapshot_interval_s <= 0:
             raise ValueError("snapshot_interval_s must be positive")

@@ -13,13 +13,12 @@ the §7 piggyback.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..crypto.keystore import pair
-from ..events.grouping import UnpredictableEvent
 from ..faults import FaultPlan, FaultyLink, FlakyClassifier, FlakyValidationService
 from ..net.packet import TrafficClass
 from ..obs import MetricsSnapshot
@@ -107,14 +106,9 @@ class FiatSystem:
             seed=spawn_seed(seed, "app"),
             obs=self.obs,
         )
-        self.validation = HumanValidationService(
-            proxy_keystore,
-            validator=HumannessValidator(seed=spawn_seed(seed, "validator")).fit(),
-            validity_s=self.config.human_validity_s,
-            freshness_s=self.config.channel_freshness_s,
-            max_interactions=self.config.max_validated_interactions,
-            obs=self.obs,
-        )
+        #: trained humanness validator (on disk in a deployment: it
+        #: survives a restart, so every stack built here shares it)
+        self.validator = HumannessValidator(seed=spawn_seed(seed, "validator")).fit()
 
         # Per-device classifiers, trained as deployed (§6 footnote 2).
         self.classifiers = {}
@@ -134,14 +128,7 @@ class FiatSystem:
                 profile, training, first_n=self.config.first_n_packets, obs=self.obs
             )
 
-        self.proxy = FiatProxy(
-            config=self.config,
-            dns=self.cloud.dns,
-            classifiers=self.classifiers,
-            validation=self.validation,
-            app_for_device=dict(APP_PACKAGES),
-            start_time=0.0,
-        )
+        self.proxy, self.validation = self.build_stack()
         #: humanness-validation confusion accumulated during experiments
         self.human_confusion = {"tp": 0, "fn": 0, "tn": 0, "fp": 0}
         #: fault injection (installed by :meth:`install_faults`)
@@ -183,27 +170,28 @@ class FiatSystem:
         """
         assert self._fault_link is not None
         receiver_now = self._fault_link.receiver_clock(arrive_at)
-        before = len(self.validation.receiver.rejections)
+        replays = self.validation.receiver.rejections.get("replay", 0)
         result = self._receive_auth(wire, receiver_now)
         if result is not None:
             self._last_registered = result
             return True
-        return "replay" in self.validation.receiver.rejections[before:]
+        return self.validation.receiver.rejections.get("replay", 0) > replays
 
     # -- crash-safe durability (repro.recovery) --------------------------------------
 
     def build_stack(self) -> Tuple[FiatProxy, HumanValidationService]:
         """Build a fresh proxy + validation pair around the durable parts.
 
+        The system's first stack and every restarted one come from here.
         The pairing key (TEE), the trained humanness validator and the
-        trained per-device classifiers (on-disk models) are shared with
-        the existing stack — a process death does not lose them.  Only
-        the volatile security state is fresh; it is exactly what the
+        trained per-device classifiers (on-disk models) are shared by
+        all of them — a process death does not lose them.  Only the
+        volatile security state is fresh; it is exactly what the
         :class:`~repro.recovery.RecoveryManager` journal restores.
         """
         validation = HumanValidationService(
             self._proxy_keystore,
-            validator=self.validation.validator,
+            validator=self.validator,
             validity_s=self.config.human_validity_s,
             freshness_s=self.config.channel_freshness_s,
             max_interactions=self.config.max_validated_interactions,
@@ -246,7 +234,6 @@ class FiatSystem:
             self.build_stack,
             snapshot_interval_s=self.config.snapshot_interval_s,
             fsync=self.config.journal_fsync,
-            reconcile=self.config.recovery_reconcile,
             obs=self.obs,
         )
         manager.start(self.proxy, self.validation, now=now)
@@ -339,11 +326,8 @@ class FiatSystem:
             recorded = self._last_registered
         else:
             attempt = self.app.authenticate(interaction, when)
-            self._receive_auth(
+            recorded = self._receive_auth(
                 attempt.wire, when + attempt.components["transport"] / 1000.0
-            )
-            recorded = (
-                self.validation._interactions[-1] if self.validation._interactions else None
             )
         if recorded is not None:
             if human and recorded.human:

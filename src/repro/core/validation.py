@@ -10,21 +10,23 @@ with the right app on a pre-authorized device.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass
 from time import perf_counter
 from typing import Dict, List, Optional
 
 from ..crypto.replay import ReplayCache
 from ..obs import NULL_OBS, Observability
-from ..quic.channel import AuthMessage, ChannelReceiver
+from ..quic.channel import ChannelReceiver
 from ..crypto.keystore import SecureKeystore
 from ..sensors.humanness import HumannessValidator
 
 __all__ = ["ValidatedInteraction", "HumanValidationService"]
 
 #: Version of the serialised state schema (see
-#: :meth:`HumanValidationService.to_state`).
-_STATE_VERSION = 1
+#: :meth:`HumanValidationService.to_state`).  v2 stores the channel's
+#: rejections as per-reason counts; v1 lists load as counts.
+_STATE_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -156,7 +158,8 @@ class HumanValidationService:
 
         Covers the validated-interaction registry, the channel's replay
         cache (the state closing the QUIC 0-RTT replay window) and the
-        rejection/acceptance tallies.  The keystore and the trained
+        rejection tallies, per reason, so the state stays bounded however
+        many proofs the channel rejects.  The keystore and the trained
         humanness validator are *not* serialised: they live in the TEE
         and on disk respectively and survive a process death on their
         own — only volatile memory needs the journal.
@@ -171,14 +174,14 @@ class HumanValidationService:
             "n_pruned": self.n_pruned,
             "receiver": {
                 "freshness_window_s": self.receiver.freshness_window_s,
-                "rejections": list(self.receiver.rejections),
+                "rejections": dict(self.receiver.rejections),
                 "replay_cache": self.receiver.replay_cache.to_state(),
             },
         }
 
     def restore(self, state: Dict[str, object]) -> None:
         """Load :meth:`to_state` output into this (freshly built) service."""
-        if state.get("v") != _STATE_VERSION:
+        if state.get("v") not in (1, _STATE_VERSION):
             raise ValueError(
                 f"unsupported HumanValidationService state version: {state.get('v')!r}"
             )
@@ -199,7 +202,12 @@ class HumanValidationService:
         self.n_pruned = int(state["n_pruned"])
         receiver_state: Dict[str, object] = state["receiver"]  # type: ignore[assignment]
         self.receiver.freshness_window_s = float(receiver_state["freshness_window_s"])
-        self.receiver.rejections = [str(r) for r in receiver_state["rejections"]]  # type: ignore[union-attr]
+        rejections = receiver_state["rejections"]
+        if state["v"] == 1:  # v1 kept one list entry per rejected proof
+            rejections = Counter(rejections)  # type: ignore[arg-type]
+        self.receiver.rejections = Counter(
+            {str(r): int(n) for r, n in rejections.items()}  # type: ignore[union-attr]
+        )
         self.receiver.replay_cache = ReplayCache.from_state(
             receiver_state["replay_cache"]  # type: ignore[arg-type]
         )

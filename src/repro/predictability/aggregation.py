@@ -12,14 +12,15 @@ heuristic over ``<flow, window byte-sum>`` tuples.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from typing import Dict, Hashable, List, Optional, Tuple
+
+import numpy as np
 
 from ..net.dns import DnsTable
 from ..net.flows import FlowDefinition, flow_key
 from ..net.packet import Packet
 from ..net.trace import Trace
-from .buckets import quantize_iat
+from .binmatch import repeated_iat_labels
 
 __all__ = ["WindowRecord", "aggregate_trace", "windowed_predictability"]
 
@@ -87,39 +88,20 @@ def windowed_predictability(
 
     Windows of a flow are bucketed by ``<flow, byte-sum>``; the
     inter-arrival time between windows of the same bucket (in units of
-    windows) must repeat for the windows to be predictable — the direct
-    analogue of the packet-level heuristic at 5-second granularity.
+    windows) must repeat exactly for the windows to be predictable — the
+    direct analogue of the packet-level heuristic at 5-second
+    granularity, run on the same vectorized core as
+    :func:`~repro.predictability.buckets.label_predictable`.
     """
     records = aggregate_trace(trace, definition, dns=dns, window=window)
     if not records:
         return 0.0
-
-    bucket_last: Dict[Tuple[Hashable, ...], int] = {}
-    bucket_prev_index: Dict[Tuple[Hashable, ...], int] = {}
-    gap_counts: Dict[Tuple[Hashable, ...], Dict[int, int]] = defaultdict(dict)
-    record_gap: Dict[int, Tuple[Tuple[Hashable, ...], int]] = {}
-    bucket_records: Dict[Tuple[Hashable, ...], List[int]] = defaultdict(list)
-    record_pos: Dict[int, int] = {}
-
-    for i, record in enumerate(records):
-        bucket = record.flow + (record.total_bytes,)
-        record_pos[i] = len(bucket_records[bucket])
-        bucket_records[bucket].append(i)
-        if bucket in bucket_last:
-            gap = record.window_index - bucket_last[bucket]
-            gap_bin = quantize_iat(float(gap), 1.0)
-            record_gap[i] = (bucket, gap_bin)
-            counts = gap_counts[bucket]
-            counts[gap_bin] = counts.get(gap_bin, 0) + 1
-        bucket_last[bucket] = record.window_index
-        bucket_prev_index[bucket] = i
-
-    predictable = [False] * len(records)
-    for i, (bucket, gap_bin) in record_gap.items():
-        if gap_counts[bucket].get(gap_bin, 0) >= 2:
-            predictable[i] = True
-            position = record_pos[i]
-            if position > 0:
-                predictable[bucket_records[bucket][position - 1]] = True
-
-    return sum(predictable) / len(records)
+    bucket_ids: Dict[Tuple[Hashable, ...], int] = {}
+    kids = np.fromiter(
+        (bucket_ids.setdefault(r.flow + (r.total_bytes,), len(bucket_ids)) for r in records),
+        dtype=np.int64,
+        count=len(records),
+    )
+    windows = np.fromiter((r.window_index for r in records), dtype=np.float64, count=len(records))
+    labels = repeated_iat_labels(kids, windows, 1.0, 0)
+    return int(labels.sum()) / len(records)

@@ -1,7 +1,9 @@
 """Vectorized flow-bucket / IAT-bin primitives behind offline labelling.
 
 The NumPy inner loop of
-:func:`~repro.predictability.buckets.label_predictable`: flow keys are
+:func:`~repro.predictability.buckets.label_predictable` and
+:func:`~repro.predictability.aggregation.windowed_predictability`
+(:func:`repeated_iat_labels`): flow keys are
 interned to small integer bucket ids, per-bucket predecessor chains and
 IAT bins are computed for the whole trace in one pass, and repeated
 bins are counted over the ±``neighbor_bins`` window.
@@ -31,6 +33,7 @@ __all__ = [
     "quantize_iat_array",
     "chain_prev",
     "neighbor_counts",
+    "repeated_iat_labels",
 ]
 
 
@@ -180,3 +183,25 @@ def neighbor_counts(kids: np.ndarray, bins: np.ndarray, neighbor_bins: int) -> n
     result = np.empty(n, dtype=np.int64)
     result[order] = totals[group]
     return result
+
+
+def repeated_iat_labels(
+    kids: np.ndarray, times: np.ndarray, resolution: float, neighbor_bins: int
+) -> np.ndarray:
+    """The §2.1 heuristic over items fed in order: one bool per item.
+
+    ``kids`` are the items' bucket ids and ``times`` their arrival times.
+    An item is labelled when the IAT bin linking it to the previous item
+    of its bucket occurs at least twice in that bucket (counting
+    ±``neighbor_bins`` as the same bin); its predecessor, which shares
+    that IAT, is labelled too.
+    """
+    labels = np.zeros(len(kids), dtype=bool)
+    prev_index, prev_ts = chain_prev(kids, times)
+    has_prev = prev_index >= 0
+    bins = quantize_iat_array(times - prev_ts, resolution)
+    repeated = neighbor_counts(kids[has_prev], bins[has_prev], neighbor_bins) >= 2
+    marked = np.nonzero(has_prev)[0][repeated]
+    labels[marked] = True
+    labels[prev_index[marked]] = True
+    return labels

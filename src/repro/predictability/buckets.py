@@ -41,7 +41,7 @@ from ..net.flows import FlowDefinition, decode_flow_key, encode_flow_key, flow_k
 from ..net.packet import Packet
 from ..net.trace import Trace
 from ..obs import NULL_OBS, Observability
-from .binmatch import KeyInterner, chain_prev, neighbor_counts, quantize_iat_array
+from .binmatch import KeyInterner, repeated_iat_labels
 
 __all__ = ["BucketPredictor", "label_predictable", "quantize_iat"]
 
@@ -325,14 +325,4 @@ def label_predictable(
     kids = np.fromiter((intern(p) for p in trace), dtype=np.int64, count=n)
     timestamps = np.fromiter((p.timestamp for p in trace), dtype=np.float64, count=n)
 
-    prev_index, prev_ts = chain_prev(kids, timestamps)
-    has_prev = prev_index >= 0
-    bins = quantize_iat_array(timestamps - prev_ts, resolution)
-    repeated = neighbor_counts(kids[has_prev], bins[has_prev], neighbor_bins) >= 2
-
-    labels = np.zeros(n, dtype=bool)
-    marked = np.nonzero(has_prev)[0][repeated]
-    labels[marked] = True
-    # The predecessor packet participates in the same repeated IAT pair.
-    labels[prev_index[marked]] = True
-    return labels.tolist()
+    return repeated_iat_labels(kids, timestamps, resolution, neighbor_bins).tolist()

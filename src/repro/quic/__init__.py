@@ -1,6 +1,6 @@
 """Transport substrate: TCP / QUIC latency models and the auth channel."""
 
-from .channel import AuthChannel, AuthMessage, ChannelReceiver, DeliveryResult
+from .channel import AuthChannel, AuthMessage, ChannelReceiver
 from .transport import LAN_PATH, MOBILE_PATH, NetworkPath, Transport, connection_latency
 
 __all__ = [
@@ -12,5 +12,4 @@ __all__ = [
     "AuthChannel",
     "AuthMessage",
     "ChannelReceiver",
-    "DeliveryResult",
 ]

@@ -17,8 +17,9 @@ import json
 import logging
 import math
 import secrets
+from collections import Counter
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from ..features.sensor_features import N_SENSOR_FEATURES
 from ..obs import NULL_OBS, Observability
 from .transport import NetworkPath, Transport, connection_latency
 
-__all__ = ["AuthMessage", "AuthChannel", "ChannelReceiver", "DeliveryResult"]
+__all__ = ["AuthMessage", "AuthChannel", "ChannelReceiver"]
 
 logger = logging.getLogger(__name__)
 
@@ -86,16 +87,8 @@ class AuthMessage:
         )
 
 
-@dataclass(frozen=True)
-class DeliveryResult:
-    """Outcome of a channel send: the wire bytes and delivery latency."""
-
-    wire: bytes
-    latency_ms: float
-
-
 class AuthChannel:
-    """Phone-side sender: signs and "transmits" authentication messages."""
+    """Phone-side sender: signs authentication messages and draws their latency."""
 
     def __init__(
         self,
@@ -120,14 +113,14 @@ class AuthChannel:
         now: float,
         trace_id: str = "",
     ) -> bytes:
-        """Sign a humanness proof without transmitting it.
+        """Sign a humanness proof and return its wire bytes.
 
-        Used by the reliable sender, which retransmits the same signed
-        wire bytes (same nonce) until the proxy acknowledges: a copy
-        arriving after the original registered is absorbed by the replay
-        cache instead of double-counting the interaction.  ``trace_id``
-        rides inside the signed payload so the receiving side can link
-        the proof back to its sender-side trace.
+        The reliable sender retransmits these same bytes (same nonce)
+        until the proxy acknowledges: a copy arriving after the original
+        registered is absorbed by the replay cache instead of
+        double-counting the interaction.  ``trace_id`` rides inside the
+        signed payload so the receiving side can link the proof back to
+        its sender-side trace.
         """
         message = AuthMessage(
             app_package=app_package,
@@ -142,17 +135,6 @@ class AuthChannel:
     def sample_latency(self) -> float:
         """Draw one connection latency for the configured transport/path."""
         return connection_latency(self.transport, self.path, self._rng)
-
-    def send(
-        self,
-        app_package: str,
-        sensor_features: Sequence[float],
-        now: float,
-        trace_id: str = "",
-    ) -> DeliveryResult:
-        """Sign a humanness proof and deliver it over the modelled path."""
-        wire = self.prepare(app_package, sensor_features, now, trace_id=trace_id)
-        return DeliveryResult(wire=wire, latency_ms=self.sample_latency())
 
 
 class ChannelReceiver:
@@ -169,10 +151,11 @@ class ChannelReceiver:
         self.replay_cache = replay_cache if replay_cache is not None else ReplayCache()
         self.freshness_window_s = freshness_window_s
         self.obs = obs if obs is not None else NULL_OBS
-        self.rejections: List[str] = []
+        #: rejected proofs per reason: bounded however many arrive
+        self.rejections: Counter[str] = Counter()
 
     def _reject(self, reason: str, now: float, trace_id: str = "") -> None:
-        self.rejections.append(reason)
+        self.rejections[reason] += 1
         logger.debug("auth message rejected (%s) at t=%.3f", reason, now)
         self.obs.inc("auth_rejections_total", reason=reason)
         self.obs.emit("channel.reject", t=now, trace=trace_id, reason=reason)
@@ -180,7 +163,7 @@ class ChannelReceiver:
     def receive(self, wire: bytes, now: float) -> Optional[AuthMessage]:
         """Verify an incoming proof; return it if acceptable, else ``None``.
 
-        Rejection reasons (recorded in :attr:`rejections`):
+        Rejection reasons (counted in :attr:`rejections`):
         ``malformed`` (undecodable wire bytes, or a signed payload whose
         body cannot be parsed or whose sensor features are not 48 finite
         numbers), ``bad-signature`` (unauthorized device

@@ -226,7 +226,6 @@ def run_crashed(
     crash: CrashWindow,
     snapshot_interval_s: float,
     fsync: bool = False,
-    reconcile: str = "fail-closed",
 ):
     """Run the workload with a journaling manager and one crash/restart.
 
@@ -240,7 +239,6 @@ def run_crashed(
         factory,
         snapshot_interval_s=snapshot_interval_s,
         fsync=fsync,
-        reconcile=reconcile,
     )
     proxy, validation = factory()
     manager.start(proxy, validation, now=0.0)
@@ -277,20 +275,12 @@ def run_crashed(
 
 def _probe_replay(proxy: object, validation: object, wire: bytes, now: float) -> str:
     """Re-send a pre-crash proof wire post-restart; it must not register."""
-    receiver = validation.receiver  # type: ignore[attr-defined]
-    before_rejections = len(receiver.rejections)
-    before_interactions = len(validation._interactions)  # type: ignore[attr-defined]
-    result = proxy.receive_auth(wire, now)  # type: ignore[attr-defined]
-    # ingest() opportunistically prunes expired interactions, so the
-    # registry may *shrink*; the invariant is that nothing new registers.
-    if result is not None or len(validation._interactions) > before_interactions:  # type: ignore[attr-defined]
+    before = validation.receiver.rejections.copy()  # type: ignore[attr-defined]
+    if proxy.receive_auth(wire, now) is not None:  # type: ignore[attr-defined]
         raise AssertionError("replayed proof accepted after crash recovery")
-    new = receiver.rejections[before_rejections:]
-    if "replay" in new:
-        return "replay"
-    if "stale" in new:
-        return "stale"
-    return new[-1] if new else "rejected"
+    # One call rejects for at most one reason: the count that grew.
+    grown = validation.receiver.rejections - before  # type: ignore[attr-defined]
+    return next(iter(grown), "rejected")
 
 
 # -- comparison -----------------------------------------------------------------
@@ -384,7 +374,6 @@ def chaos_sweep(
                 crash,
                 snapshot_interval_s=config.snapshot_interval_s,
                 fsync=config.journal_fsync,
-                reconcile=config.recovery_reconcile,
             )
             trial.replay_probe = probe
             trial.n_replayed = report.n_replayed
@@ -436,7 +425,6 @@ def chaos_sweep(
                     crash,
                     snapshot_interval_s=config.snapshot_interval_s,
                     fsync=config.journal_fsync,
-                    reconcile=config.recovery_reconcile,
                 )
                 trial.deterministic = (
                     proxy2.decision_log() == proxy.decision_log()

@@ -83,18 +83,14 @@ class RecoveryManager:
         factory: Callable[[], Tuple[object, object]],
         snapshot_interval_s: float = 300.0,
         fsync: bool = False,
-        reconcile: str = "fail-closed",
         obs: Optional[Observability] = None,
     ) -> None:
         if snapshot_interval_s <= 0:
             raise ValueError("snapshot_interval_s must be positive")
-        if reconcile not in ("fail-closed", "resume"):
-            raise ValueError(f"reconcile must be 'fail-closed' or 'resume', got {reconcile!r}")
         self.state_dir = state_dir
         self.factory = factory
         self.snapshot_interval_s = snapshot_interval_s
         self.fsync = fsync
-        self.reconcile = reconcile
         self.obs = obs if obs is not None else NULL_OBS
         os.makedirs(state_dir, exist_ok=True)
         self._store = EpochStore(state_dir, "snapshot-{:06d}.json", "journal-{:06d}.jsonl")
@@ -338,14 +334,12 @@ class RecoveryManager:
                 )
                 break  # segments past a corruption cannot be trusted
 
-        n_reconciled = 0
-        if self.reconcile == "fail-closed":
-            reconcile_t = restart_t if restart_t is not None else (horizon_t or 0.0)
-            n_reconciled = proxy.reconcile_after_crash(reconcile_t)  # type: ignore[attr-defined]
-
-        # Resume journaling in a fresh epoch: the recovered state becomes
-        # the new snapshot and every stale/torn segment is compacted away.
+        # Events left open by the crash close fail-closed: no packet rides
+        # through on pre-crash optimism.  Journaling then resumes in a
+        # fresh epoch: the recovered state becomes the new snapshot and
+        # every stale/torn segment is compacted away.
         checkpoint_t = restart_t if restart_t is not None else (horizon_t or 0.0)
+        n_reconciled = proxy.reconcile_after_crash(checkpoint_t)  # type: ignore[attr-defined]
         self._rotate_epoch(checkpoint_t)
 
         self.n_restarts += 1

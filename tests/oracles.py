@@ -1,8 +1,8 @@
 """Scalar reference implementations that the vectorized library code must match.
 
 These are the straightforward per-cut, per-window, per-touch, per-draw,
-per-event and per-bucket loops the library used before it was vectorized,
-and the float snapshot merge the fleet folded with before its exact sums.
+per-event, per-bucket and per-aggregate-window loops the library used
+before it was vectorized, and the float snapshot merge the fleet folded with before its exact sums.
 They are kept here, outside the package, only as test oracles: property
 tests assert that the library reproduces them bit for bit.
 """
@@ -19,6 +19,7 @@ from repro.net import DnsTable, FlowDefinition, Trace
 from repro.net.flows import flow_key
 from repro.net.packet import TCP_ACK, TCP_PSH, TLS_1_2, TLS_NONE, Direction, Packet
 from repro.obs.registry import Histogram, MetricsSnapshot
+from repro.predictability.aggregation import WINDOW_SECONDS, aggregate_trace
 from repro.predictability.buckets import DEFAULT_RESOLUTION, quantize_iat
 from repro.sensors.motion import GRAVITY, SAMPLE_RATE_HZ, MotionKind
 from repro.testbed.household import _event_local_port, _make_packet
@@ -365,6 +366,46 @@ def scalar_label_predictable(
             labels[prev_index] = True
 
     return labels
+
+
+def scalar_windowed_predictability(
+    trace: Trace,
+    definition: FlowDefinition = FlowDefinition.PORTLESS,
+    dns: Optional[DnsTable] = None,
+    window: float = WINDOW_SECONDS,
+) -> float:
+    """``windowed_predictability`` with per-bucket dicts of window-gap counts."""
+    records = aggregate_trace(trace, definition, dns=dns, window=window)
+    if not records:
+        return 0.0
+
+    bucket_last: Dict[Tuple[Hashable, ...], int] = {}
+    gap_counts: Dict[Tuple[Hashable, ...], Dict[int, int]] = defaultdict(dict)
+    record_gap: Dict[int, Tuple[Tuple[Hashable, ...], int]] = {}
+    bucket_records: Dict[Tuple[Hashable, ...], List[int]] = defaultdict(list)
+    record_pos: Dict[int, int] = {}
+
+    for i, record in enumerate(records):
+        bucket = record.flow + (record.total_bytes,)
+        record_pos[i] = len(bucket_records[bucket])
+        bucket_records[bucket].append(i)
+        if bucket in bucket_last:
+            gap = record.window_index - bucket_last[bucket]
+            gap_bin = quantize_iat(float(gap), 1.0)
+            record_gap[i] = (bucket, gap_bin)
+            counts = gap_counts[bucket]
+            counts[gap_bin] = counts.get(gap_bin, 0) + 1
+        bucket_last[bucket] = record.window_index
+
+    predictable = [False] * len(records)
+    for i, (bucket, gap_bin) in record_gap.items():
+        if gap_counts[bucket].get(gap_bin, 0) >= 2:
+            predictable[i] = True
+            position = record_pos[i]
+            if position > 0:
+                predictable[bucket_records[bucket][position - 1]] = True
+
+    return sum(predictable) / len(records)
 
 
 def float_merge(first: MetricsSnapshot, later: MetricsSnapshot) -> MetricsSnapshot:

@@ -72,3 +72,19 @@ class TestAccuracyExperiment:
         )
         # FN equals the validator's non-human miss rate (~1-2 %).
         assert results["SP10"].false_negative < 0.15
+
+
+class TestProofTally:
+    def test_channel_rejected_proof_leaves_human_confusion_unchanged(self, monkeypatch):
+        system = FiatSystem(["SP10"], config=FiatConfig(bootstrap_s=0.0), seed=5)
+        system._send_proof("SP10", 100.0, human=True)
+        tallied = dict(system.human_confusion)
+        assert sum(tallied.values()) == 1
+        # A proof signed long before it is sent arrives stale: the
+        # channel rejects it, so there is no interaction to tally, even
+        # with the first one still inside its validity window.
+        stale = system.app.channel.prepare("com.tplink.kasa", [0.0] * 48, now=0.0)
+        monkeypatch.setattr(system.app.channel, "prepare", lambda *args, **kwargs: stale)
+        system._send_proof("SP10", 130.0, human=False)
+        assert "stale" in system.validation.receiver.rejections
+        assert system.human_confusion == tallied

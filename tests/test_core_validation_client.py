@@ -1,6 +1,7 @@
 """Unit tests for the validation service and the client app."""
 
-import numpy as np
+import json
+
 import pytest
 
 from repro.core import FiatApp, HumanValidationService
@@ -94,3 +95,44 @@ class TestValidationService:
         service.ingest(attempt.wire, now=300.1)
         service.prune(now=1000.0)
         assert not service.has_recent_human(interaction.app_package, now=1000.0)
+
+
+class TestChannelRejectCounts:
+    def test_replays_of_one_wire_keep_state_bounded(self, stack):
+        _, shared, phone = stack
+        phone_ks, proxy_ks = pair("phone", "proxy")
+        app = FiatApp(
+            keystore=phone_ks, key_alias="fiat-pairing", device_id="phone-1", path=LAN_PATH,
+            seed=1,
+        )
+        service = HumanValidationService(proxy_ks, validator=shared.validator)
+        interaction = phone.interact("Nest-E", 10.0, human=True, intensity=1.2)
+        wire = app.authenticate(interaction, now=10.0).wire
+        assert service.ingest(wire, now=10.1) is not None
+        assert service.ingest(wire, now=10.2) is None
+        size_after_first_replay = len(json.dumps(service.to_state()))
+        for _ in range(9999):
+            assert service.ingest(wire, now=10.2) is None
+        assert service.receiver.rejections["replay"] == 10000
+        # Only the digits of the replay tallies grow ("1" -> "10000").
+        assert len(json.dumps(service.to_state())) - size_after_first_replay <= 16
+
+    def test_counts_survive_restore(self, stack):
+        _, shared, _ = stack
+        service = HumanValidationService(pair("phone", "proxy")[1], validator=shared.validator)
+        for _ in range(3):
+            service.ingest(b"garbage", now=0.0)
+        restored = HumanValidationService(pair("phone", "proxy")[1], validator=shared.validator)
+        restored.restore(json.loads(json.dumps(service.to_state())))
+        assert restored.receiver.rejections == {"malformed": 3}
+        assert restored.to_state() == service.to_state()
+
+    def test_v1_rejection_list_loads_as_counts(self, stack):
+        _, shared, _ = stack
+        service = HumanValidationService(pair("phone", "proxy")[1], validator=shared.validator)
+        state = service.to_state()
+        state["v"] = 1
+        state["receiver"]["rejections"] = ["replay", "stale", "replay"]
+        service.restore(state)
+        assert service.receiver.rejections == {"replay": 2, "stale": 1}
+        assert service.to_state()["receiver"]["rejections"] == {"replay": 2, "stale": 1}

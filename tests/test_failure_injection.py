@@ -164,7 +164,7 @@ class TestAdversarialEdgeCases:
             wire = receiver_ks.sign("fiat-pairing", payload).to_wire()
             proxy.receive_auth(wire, now=0.0)
         assert proxy.validation.n_rejected_channel == len(bad_payloads)
-        assert proxy.validation.receiver.rejections.count("malformed") == len(bad_payloads)
+        assert proxy.validation.receiver.rejections["malformed"] == len(bad_payloads)
 
 
 class TestNonFiniteProof:
@@ -189,7 +189,7 @@ class TestNonFiniteProof:
         threshold = proxy.config.breaker_failure_threshold
         for i in range(threshold):
             assert proxy.receive_auth(proof(poisoned, f"bad-{i}", 1.0 + i), now=1.0 + i) is None
-        assert proxy.validation.receiver.rejections == ["malformed"] * threshold
+        assert proxy.validation.receiver.rejections == {"malformed": threshold}
         assert proxy.health["validation_errors"] == 0
         assert proxy.breakers["validation"].state is BreakerState.CLOSED
         interaction = proxy.receive_auth(proof(genuine, "good", 5.0), now=5.0)

@@ -2,9 +2,12 @@
 
 import pytest
 
-from repro.net import Trace
+from repro.net import FlowDefinition, Trace
 from repro.predictability import aggregate_trace, windowed_predictability
+from repro.testbed import TESTBED, Household, HouseholdConfig
 from tests.conftest import make_packet
+
+from oracles import scalar_windowed_predictability
 
 
 class TestAggregation:
@@ -52,3 +55,27 @@ class TestWindowedPredictability:
             for t in range(0, 200, 20)
         ]
         assert windowed_predictability(Trace(clean)) > windowed_predictability(Trace(noisy))
+
+
+class TestMatchesScalarOracle:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("definition", [FlowDefinition.PORTLESS, FlowDefinition.CLASSIC])
+    def test_household_traces_per_device_and_whole(self, seed, definition):
+        result = Household(list(TESTBED), HouseholdConfig(duration_s=3600.0, seed=seed)).simulate()
+        trace, dns = result.trace, result.cloud.dns
+        traces = {"*": trace, **{d: trace.for_device(d) for d in trace.devices()}}
+        assert len(traces) == len(TESTBED) + 1
+        for name, part in traces.items():
+            vec = windowed_predictability(part, definition, dns=dns)
+            ref = scalar_windowed_predictability(part, definition, dns=dns)
+            assert vec == ref, (seed, definition, name)
+
+    def test_small_windows_and_gaps_of_several_windows(self, rng):
+        packets = [
+            make_packet(timestamp=float(t), size=100 + int(rng.integers(0, 3)))
+            for t in sorted(rng.uniform(0.0, 600.0, size=300))
+        ]
+        for window in (1.0, 5.0, 30.0):
+            vec = windowed_predictability(Trace(packets), window=window)
+            ref = scalar_windowed_predictability(Trace(packets), window=window)
+            assert vec == ref, window

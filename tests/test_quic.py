@@ -65,35 +65,36 @@ def _channel_pair(transport=Transport.QUIC_0RTT):
 class TestAuthChannel:
     def test_roundtrip(self):
         channel, receiver = _channel_pair()
-        result = channel.send("com.nest.android", FEATURES, now=100.0)
-        message = receiver.receive(result.wire, now=100.2)
+        wire = channel.prepare("com.nest.android", FEATURES, now=100.0)
+        message = receiver.receive(wire, now=100.2)
         assert message is not None
         assert message.app_package == "com.nest.android"
         assert message.sensor_features == tuple(FEATURES)
 
     def test_replay_rejected(self):
         channel, receiver = _channel_pair()
-        result = channel.send("app", FEATURES, now=100.0)
-        assert receiver.receive(result.wire, now=100.1) is not None
-        assert receiver.receive(result.wire, now=100.2) is None
-        assert "replay" in receiver.rejections
+        wire = channel.prepare("app", FEATURES, now=100.0)
+        assert receiver.receive(wire, now=100.1) is not None
+        assert receiver.receive(wire, now=100.2) is None
+        assert receiver.receive(wire, now=100.3) is None
+        assert receiver.rejections == {"replay": 2}
 
     def test_stale_message_rejected(self):
         channel, receiver = _channel_pair()
-        result = channel.send("app", FEATURES, now=100.0)
-        assert receiver.receive(result.wire, now=500.0) is None
+        wire = channel.prepare("app", FEATURES, now=100.0)
+        assert receiver.receive(wire, now=500.0) is None
         assert "stale" in receiver.rejections
 
     def test_future_message_rejected(self):
         channel, receiver = _channel_pair()
-        result = channel.send("app", FEATURES, now=200.0)
-        assert receiver.receive(result.wire, now=100.0) is None
+        wire = channel.prepare("app", FEATURES, now=200.0)
+        assert receiver.receive(wire, now=100.0) is None
 
     def test_unauthorized_device_rejected(self):
         _, receiver = _channel_pair()
         rogue_channel, _ = _channel_pair()  # different pairing
-        result = rogue_channel.send("app", FEATURES, now=100.0)
-        assert receiver.receive(result.wire, now=100.1) is None
+        wire = rogue_channel.prepare("app", FEATURES, now=100.0)
+        assert receiver.receive(wire, now=100.1) is None
         assert "bad-signature" in receiver.rejections
 
     def test_malformed_wire_rejected(self):
@@ -121,9 +122,9 @@ class TestAuthChannel:
     )
     def test_features_not_48_finite_numbers_are_malformed(self, features):
         channel, receiver = _channel_pair()
-        result = channel.send("app", features, now=100.0)
-        assert receiver.receive(result.wire, now=100.1) is None
-        assert receiver.rejections == ["malformed"]
+        wire = channel.prepare("app", features, now=100.0)
+        assert receiver.receive(wire, now=100.1) is None
+        assert receiver.rejections == {"malformed": 1}
 
     def test_overflowing_feature_literal_is_malformed(self):
         message = AuthMessage(
@@ -136,5 +137,4 @@ class TestAuthChannel:
 
     def test_latency_attached(self):
         channel, _ = _channel_pair()
-        result = channel.send("app", FEATURES, now=0.0)
-        assert result.latency_ms > 0.0
+        assert channel.sample_latency() > 0.0
