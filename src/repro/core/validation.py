@@ -66,7 +66,6 @@ class HumanValidationService:
         self.validity_s = validity_s
         self.max_interactions = max_interactions
         self._interactions: List[ValidatedInteraction] = []
-        self.n_rejected_channel = 0
         self.n_non_human = 0
         self.n_pruned = 0
 
@@ -83,7 +82,6 @@ class HumanValidationService:
         self.prune(now)
         message = self.receiver.receive(wire, now)
         if message is None:
-            self.n_rejected_channel += 1
             self.obs.inc("validations_total", outcome="rejected")
             return None
         if self.obs.enabled:
@@ -120,6 +118,11 @@ class HumanValidationService:
             del self._interactions[:overflow]
             self.n_pruned += overflow
         return interaction
+
+    @property
+    def n_rejected_channel(self) -> int:
+        """Proofs the channel rejected, over every reason."""
+        return sum(self.receiver.rejections.values())
 
     def has_recent_human(self, app_package: str, now: float) -> bool:
         """Whether a fresh verified-human interaction exists for the app.
@@ -169,7 +172,6 @@ class HumanValidationService:
             "validity_s": self.validity_s,
             "max_interactions": self.max_interactions,
             "interactions": [asdict(i) for i in self._interactions],
-            "n_rejected_channel": self.n_rejected_channel,
             "n_non_human": self.n_non_human,
             "n_pruned": self.n_pruned,
             "receiver": {
@@ -180,7 +182,11 @@ class HumanValidationService:
         }
 
     def restore(self, state: Dict[str, object]) -> None:
-        """Load :meth:`to_state` output into this (freshly built) service."""
+        """Load :meth:`to_state` output into this (freshly built) service.
+
+        A stored ``n_rejected_channel`` tally is ignored: it is the sum
+        of the restored per-reason rejections.
+        """
         if state.get("v") not in (1, _STATE_VERSION):
             raise ValueError(
                 f"unsupported HumanValidationService state version: {state.get('v')!r}"
@@ -197,7 +203,6 @@ class HumanValidationService:
             )
             for i in state["interactions"]  # type: ignore[union-attr]
         ]
-        self.n_rejected_channel = int(state["n_rejected_channel"])
         self.n_non_human = int(state["n_non_human"])
         self.n_pruned = int(state["n_pruned"])
         receiver_state: Dict[str, object] = state["receiver"]  # type: ignore[assignment]

@@ -1,6 +1,6 @@
 """Crypto substrate: TEE-like keystore, pairing, signing, replay protection."""
 
-from .keystore import KeystoreError, SecureKeystore, SignedMessage, pair, payload_digest
+from .keystore import KeystoreError, SecureKeystore, SignedMessage, pair
 from .replay import ReplayCache
 
 __all__ = [
@@ -8,6 +8,5 @@ __all__ = [
     "SignedMessage",
     "KeystoreError",
     "pair",
-    "payload_digest",
     "ReplayCache",
 ]

@@ -12,13 +12,11 @@ scanning a QR code on the proxy — producing two keystores sharing a key.
 
 from __future__ import annotations
 
-import hashlib
 import hmac
-import json
 import secrets
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Any, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..obs import NULL_OBS, Observability
 
@@ -29,31 +27,46 @@ class KeystoreError(Exception):
     """Raised on signing/verification misuse (unknown key, bad alias)."""
 
 
+#: First byte of every signed wire: the layout version.  A wire that
+#: starts with any other byte is malformed.
+WIRE_FORMAT = b"\x01"
+#: ``WIRE_FORMAT`` + the 32-byte HMAC-SHA256 tag + the 1-byte alias length.
+_ALIAS_AT = 34
+
+
 @dataclass(frozen=True)
 class SignedMessage:
-    """A serialised payload plus its authentication tag."""
+    """A serialised payload plus its raw HMAC-SHA256 tag.
+
+    Wire layout: :data:`WIRE_FORMAT`, the 32-byte tag, the key alias as
+    1-byte length + UTF-8, then the payload to the end of the wire.
+    """
 
     payload: bytes
-    signature: str
+    signature: bytes
     key_alias: str
 
     def to_wire(self) -> bytes:
         """Encode for transmission over the QUIC channel."""
-        envelope = {
-            "payload": self.payload.hex(),
-            "signature": self.signature,
-            "key_alias": self.key_alias,
-        }
-        return json.dumps(envelope, sort_keys=True).encode("utf-8")
+        alias = self.key_alias.encode("utf-8")
+        return WIRE_FORMAT + self.signature + bytes((len(alias),)) + alias + self.payload
 
     @classmethod
     def from_wire(cls, wire: bytes) -> "SignedMessage":
-        """Decode a message received from the channel."""
-        envelope = json.loads(wire.decode("utf-8"))
+        """Decode a message received from the channel.
+
+        Raises :class:`ValueError` (or :class:`IndexError` on a wire cut
+        inside its header) unless ``wire`` has this layout.
+        """
+        if wire[:1] != WIRE_FORMAT:
+            raise ValueError("unsupported wire format")
+        payload_at = _ALIAS_AT + wire[_ALIAS_AT - 1]
+        if payload_at > len(wire):
+            raise ValueError("key alias runs past the end of the wire")
         return cls(
-            payload=bytes.fromhex(envelope["payload"]),
-            signature=str(envelope["signature"]),
-            key_alias=str(envelope["key_alias"]),
+            payload=wire[payload_at:],
+            signature=wire[1 : _ALIAS_AT - 1],
+            key_alias=wire[_ALIAS_AT:payload_at].decode("utf-8"),
         )
 
 
@@ -80,10 +93,6 @@ class SecureKeystore:
             raise KeystoreError("key material too short (min 16 bytes)")
         self.__keys[alias] = bytes(key)
 
-    def has_key(self, alias: str) -> bool:
-        """Whether a key exists under ``alias``."""
-        return alias in self.__keys
-
     def _key(self, alias: str) -> bytes:
         try:
             return self.__keys[alias]
@@ -92,7 +101,7 @@ class SecureKeystore:
 
     def sign(self, alias: str, payload: bytes) -> SignedMessage:
         """HMAC-SHA256 sign ``payload`` with the key under ``alias``."""
-        tag = hmac.new(self._key(alias), payload, hashlib.sha256).hexdigest()
+        tag = hmac.digest(self._key(alias), payload, "sha256")
         return SignedMessage(payload=payload, signature=tag, key_alias=alias)
 
     def verify(self, message: SignedMessage) -> bool:
@@ -111,12 +120,10 @@ class SecureKeystore:
         return ok
 
     def _verify(self, message: SignedMessage) -> bool:
-        if message.key_alias not in self.__keys:
-            return False
-        expected = hmac.new(
-            self._key(message.key_alias), message.payload, hashlib.sha256
-        ).hexdigest()
-        return hmac.compare_digest(expected, message.signature)
+        key = self.__keys.get(message.key_alias)
+        return key is not None and hmac.compare_digest(
+            hmac.digest(key, message.payload, "sha256"), message.signature
+        )
 
 
 def pair(
@@ -137,9 +144,3 @@ def pair(
     phone.install_key(alias, shared)
     proxy.install_key(alias, shared)
     return phone, proxy
-
-
-def payload_digest(payload: Any) -> str:
-    """Stable SHA-256 digest of a JSON-serialisable payload (for replay IDs)."""
-    blob = json.dumps(payload, sort_keys=True, default=str).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()

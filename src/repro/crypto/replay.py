@@ -11,8 +11,9 @@ identifier within the window is a replay.
 
 from __future__ import annotations
 
+import heapq
 from collections import OrderedDict
-from typing import Dict, List, Optional
+from typing import Dict, List, Tuple
 
 __all__ = ["ReplayCache"]
 
@@ -42,21 +43,21 @@ class ReplayCache:
         self.window_seconds = window_seconds
         self.max_entries = max_entries
         self._seen: "OrderedDict[str, float]" = OrderedDict()
-        self.n_replays_detected = 0
+        #: ``(seen_at, identifier)`` in expiry order; items whose entry
+        #: the ``max_entries`` bound already removed are dropped lazily
+        self._expiry: List[Tuple[float, str]] = []
 
     def _evict(self, now: float) -> None:
         # Entries are kept in insertion order, which is *not* time order
-        # when ``now`` regresses (clock-skew faults): a stale entry can
-        # sit behind a fresher head.  Scan the whole cache instead of
-        # stopping at the first fresh entry, so out-of-order heads never
-        # shield expired entries from eviction.
-        expired = [
-            identifier
-            for identifier, seen_at in self._seen.items()
-            if now - seen_at > self.window_seconds
-        ]
-        for identifier in expired:
-            del self._seen[identifier]
+        # when ``now`` regresses (clock-skew faults), so expiry follows
+        # the heap instead.  ``now - seen_at`` shrinks as ``seen_at``
+        # grows: the expired entries are exactly a prefix of the heap,
+        # however ``now`` moved.
+        expiry, seen = self._expiry, self._seen
+        while expiry and now - expiry[0][0] > self.window_seconds:
+            seen_at, identifier = heapq.heappop(expiry)
+            if seen.get(identifier) == seen_at:
+                del seen[identifier]
 
     def check_and_register(self, identifier: str, now: float) -> bool:
         """Register an identifier; return ``True`` if it is fresh.
@@ -65,16 +66,22 @@ class ReplayCache:
         — a replay.  Fresh identifiers are recorded.
         """
         self._evict(now)
-        if identifier in self._seen and now - self._seen[identifier] <= self.window_seconds:
-            self.n_replays_detected += 1
+        if identifier in self._seen:  # eviction left only entries inside the window
             return False
         self._seen[identifier] = now
-        self._seen.move_to_end(identifier)
+        heapq.heappush(self._expiry, (now, identifier))
         # Enforce the memory bound *after* the insert too, so the cache
         # never exceeds ``max_entries`` even between calls.
         while len(self._seen) > self.max_entries:
             self._seen.popitem(last=False)
+        if len(self._expiry) > 2 * self.max_entries:
+            self._rebuild_expiry()
         return True
+
+    def _rebuild_expiry(self) -> None:
+        """Re-derive the heap from the live entries, dropping stale items."""
+        self._expiry = [(seen_at, identifier) for identifier, seen_at in self._seen.items()]
+        heapq.heapify(self._expiry)
 
     def __len__(self) -> int:
         return len(self._seen)
@@ -82,6 +89,7 @@ class ReplayCache:
     def clear(self) -> None:
         """Drop all state (e.g. on re-pairing)."""
         self._seen.clear()
+        self._expiry.clear()
 
     # -- durable state ------------------------------------------------------------
 
@@ -99,12 +107,15 @@ class ReplayCache:
             "window_seconds": self.window_seconds,
             "max_entries": self.max_entries,
             "seen": [[identifier, seen_at] for identifier, seen_at in self._seen.items()],
-            "n_replays_detected": self.n_replays_detected,
         }
 
     @classmethod
     def from_state(cls, state: Dict[str, object]) -> "ReplayCache":
-        """Rebuild a cache from :meth:`to_state` output."""
+        """Rebuild a cache from :meth:`to_state` output.
+
+        States written with a ``n_replays_detected`` tally load too; the
+        tally is dropped (the channel counts replays per reason).
+        """
         if state.get("v") != _STATE_VERSION:
             raise ValueError(f"unsupported ReplayCache state version: {state.get('v')!r}")
         cache = cls(
@@ -114,5 +125,5 @@ class ReplayCache:
         entries: List[List[object]] = state["seen"]  # type: ignore[assignment]
         for identifier, seen_at in entries:
             cache._seen[str(identifier)] = float(seen_at)
-        cache.n_replays_detected = int(state["n_replays_detected"])
+        cache._rebuild_expiry()
         return cache

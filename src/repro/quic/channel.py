@@ -9,14 +9,27 @@ rejected by a :class:`~repro.crypto.replay.ReplayCache`, as the paper
 proposes for few-device households).  A signed proof whose body does
 not parse, or whose features are not 48 finite numbers, is rejected as
 malformed before anything reads its features.
+
+Wire layout (all integers unsigned, floats IEEE-754 float64, little-endian)::
+
+    wire     = format byte 0x01 | HMAC-SHA256 tag (32 B) | alias length (1 B)
+               | key alias (UTF-8) | payload                 (SignedMessage)
+    payload  = sent_at (f64) | feature count n (1 B) | n features (f64 each)
+               | app_package | device_id | nonce | trace_id   (AuthMessage)
+    each string = length (1 B) | UTF-8 bytes
+
+float64 round-trips exactly, so the proxy decides on the very features
+the phone signed.  Every truncation, flipped bit or stray byte makes the
+wire ``malformed`` or ``bad-signature``; nothing past the payload's last
+string is allowed.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import secrets
+import struct
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -36,6 +49,11 @@ logger = logging.getLogger(__name__)
 #: Maximum accepted age of an authentication message, seconds.
 FRESHNESS_WINDOW_S = 30.0
 
+#: ``sent_at``, the feature count and the features of a 48-feature payload.
+_BLOCK = struct.Struct(f"<dB{N_SENSOR_FEATURES}d")
+#: What a truncated, mis-sized or mis-encoded wire or payload raises.
+_MALFORMED = (ValueError, IndexError, struct.error)
+
 
 @dataclass(frozen=True)
 class AuthMessage:
@@ -52,16 +70,13 @@ class AuthMessage:
     trace_id: str = ""
 
     def to_payload(self) -> bytes:
-        """Serialise for signing."""
-        body = {
-            "app_package": self.app_package,
-            "device_id": self.device_id,
-            "sensor_features": list(self.sensor_features),
-            "sent_at": self.sent_at,
-            "nonce": self.nonce,
-            "trace_id": self.trace_id,
-        }
-        return json.dumps(body, sort_keys=True).encode("utf-8")
+        """Serialise for signing (layout in the module docstring)."""
+        n = len(self.sensor_features)
+        payload = struct.pack(f"<dB{n}d", self.sent_at, n, *self.sensor_features)
+        for text in (self.app_package, self.device_id, self.nonce, self.trace_id):
+            raw = text.encode("utf-8")
+            payload += bytes((len(raw),)) + raw
+        return payload
 
     @classmethod
     def from_payload(cls, payload: bytes) -> "AuthMessage":
@@ -70,21 +85,26 @@ class AuthMessage:
         Raises :class:`ValueError` unless the sensor features are
         :data:`~repro.features.sensor_features.N_SENSOR_FEATURES` finite
         numbers: the proxy's humanness validator reads exactly that row.
+        A payload cut short raises :class:`struct.error` or
+        :class:`IndexError`, and one with bytes after its last string
+        :class:`ValueError`.
         """
-        body = json.loads(payload.decode("utf-8"))
-        features = tuple(map(float, body["sensor_features"]))
-        if len(features) != N_SENSOR_FEATURES or not all(map(math.isfinite, features)):
-            raise ValueError(
-                f"sensor features must be {N_SENSOR_FEATURES} finite numbers"
-            )
-        return cls(
-            app_package=str(body["app_package"]),
-            device_id=str(body["device_id"]),
-            sensor_features=features,
-            sent_at=float(body["sent_at"]),
-            nonce=str(body["nonce"]),
-            trace_id=str(body.get("trace_id", "")),
-        )
+        values = _BLOCK.unpack_from(payload)
+        features = values[2:]
+        if values[1] != N_SENSOR_FEATURES or not all(map(math.isfinite, features)):
+            raise ValueError(f"sensor features must be {N_SENSOR_FEATURES} finite numbers")
+        strings = []
+        at = _BLOCK.size
+        for _ in range(4):
+            end = at + 1 + payload[at]
+            if end > len(payload):
+                raise ValueError("string runs past the end of the payload")
+            strings.append(payload[at + 1 : end].decode("utf-8"))
+            at = end
+        if at != len(payload):
+            raise ValueError("trailing bytes after the payload")
+        app_package, device_id, nonce, trace_id = strings
+        return cls(app_package, device_id, features, values[0], nonce, trace_id)
 
 
 class AuthChannel:
@@ -164,15 +184,15 @@ class ChannelReceiver:
         """Verify an incoming proof; return it if acceptable, else ``None``.
 
         Rejection reasons (counted in :attr:`rejections`):
-        ``malformed`` (undecodable wire bytes, or a signed payload whose
-        body cannot be parsed or whose sensor features are not 48 finite
-        numbers), ``bad-signature`` (unauthorized device
+        ``malformed`` (wire bytes or a signed payload not in the layout
+        of the module docstring, or sensor features that are not 48
+        finite numbers), ``bad-signature`` (unauthorized device
         or tampering), ``stale`` (outside the freshness window) and
         ``replay``.
         """
         try:
             signed = SignedMessage.from_wire(wire)
-        except (ValueError, KeyError):
+        except _MALFORMED:
             self._reject("malformed", now)
             return None
         if not self.keystore.verify(signed):
@@ -180,9 +200,9 @@ class ChannelReceiver:
             return None
         try:
             message = AuthMessage.from_payload(signed.payload)
-        except (KeyError, ValueError, TypeError):
+        except _MALFORMED:
             # Signed but malformed: a buggy (or hostile) app shipped a
-            # payload missing a key or carrying features that are not 48
+            # payload cut short or carrying features that are not 48
             # finite numbers.  Rejected here, such a proof never reaches
             # the validator, so it cannot count as a service failure.
             self._reject("malformed", now)

@@ -41,7 +41,11 @@ __all__ = ["RecoveryManager", "RecoveryReport"]
 logger = logging.getLogger(__name__)
 
 #: Version of the combined stack-state schema written into snapshots.
-STACK_STATE_VERSION = 1
+#: v2: journaled proofs carry the binary wire of
+#: :class:`~repro.crypto.keystore.SignedMessage`; a v1 directory holds
+#: JSON-envelope wires no receiver decodes, so :meth:`RecoveryManager.recover`
+#: refuses it.
+STACK_STATE_VERSION = 2
 
 
 @dataclass

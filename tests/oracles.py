@@ -2,12 +2,13 @@
 
 These are the straightforward per-cut, per-window, per-touch, per-draw,
 per-event, per-bucket and per-aggregate-window loops the library used
-before it was vectorized, and the float snapshot merge the fleet folded with before its exact sums.
+before it was vectorized, the float snapshot merge the fleet folded with before its exact sums,
+and the replay cache that scanned every live nonce before it evicted in expiry order.
 They are kept here, outside the package, only as test oracles: property
 tests assert that the library reproduces them bit for bit.
 """
 
-from collections import defaultdict
+from collections import OrderedDict, defaultdict
 from typing import Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
@@ -440,3 +441,36 @@ def float_merge(first: MetricsSnapshot, later: MetricsSnapshot) -> MetricsSnapsh
             merged.max = max(merged.max, theirs.max)
             target[key] = merged.to_dict()
     return MetricsSnapshot(counters=counters, gauges=gauges, histograms=histograms)
+
+
+class ScanReplayCache:
+    """Replay cache whose eviction scans every live identifier on each call.
+
+    Same window, cap and insertion order as
+    :class:`repro.crypto.replay.ReplayCache`, and the same ``to_state()``.
+    """
+
+    def __init__(self, window_seconds: float, max_entries: int) -> None:
+        self.window_seconds = window_seconds
+        self.max_entries = max_entries
+        self._seen: "OrderedDict[str, float]" = OrderedDict()
+
+    def check_and_register(self, identifier: str, now: float) -> bool:
+        expired = [i for i, seen_at in self._seen.items() if now - seen_at > self.window_seconds]
+        for i in expired:
+            del self._seen[i]
+        if identifier in self._seen and now - self._seen[identifier] <= self.window_seconds:
+            return False
+        self._seen[identifier] = now
+        self._seen.move_to_end(identifier)
+        while len(self._seen) > self.max_entries:
+            self._seen.popitem(last=False)
+        return True
+
+    def to_state(self) -> Dict[str, object]:
+        return {
+            "v": 1,
+            "window_seconds": self.window_seconds,
+            "max_entries": self.max_entries,
+            "seen": [[i, seen_at] for i, seen_at in self._seen.items()],
+        }

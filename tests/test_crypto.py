@@ -1,6 +1,9 @@
 """Unit tests for the keystore, pairing and replay protection."""
 
+import random
+
 import pytest
+from oracles import ScanReplayCache
 
 from repro.crypto import (
     KeystoreError,
@@ -8,7 +11,6 @@ from repro.crypto import (
     SecureKeystore,
     SignedMessage,
     pair,
-    payload_digest,
 )
 
 
@@ -28,7 +30,7 @@ class TestKeystore:
 
     def test_unknown_alias_verifies_false(self):
         store = SecureKeystore("proxy")
-        message = SignedMessage(payload=b"x", signature="00" * 32, key_alias="ghost")
+        message = SignedMessage(payload=b"x", signature=bytes(32), key_alias="ghost")
         assert not store.verify(message)
 
     def test_sign_unknown_alias_raises(self):
@@ -64,17 +66,12 @@ class TestPairing:
         message = attacker.sign("fiat-pairing", b"proof")
         assert not proxy.verify(message)
 
-    def test_payload_digest_stable(self):
-        assert payload_digest({"a": 1, "b": 2}) == payload_digest({"b": 2, "a": 1})
-        assert payload_digest({"a": 1}) != payload_digest({"a": 2})
-
 
 class TestReplayCache:
     def test_fresh_then_replay(self):
         cache = ReplayCache(window_seconds=60.0)
         assert cache.check_and_register("n1", now=0.0)
         assert not cache.check_and_register("n1", now=10.0)
-        assert cache.n_replays_detected == 1
 
     def test_expired_identifier_accepted_again(self):
         cache = ReplayCache(window_seconds=60.0)
@@ -135,7 +132,6 @@ class TestReplayCacheBoundaries:
         cache.check_and_register("n1", now=0.0)
         assert cache.check_and_register("n1", now=100.0)  # expired, fresh again
         assert not cache.check_and_register("n1", now=120.0)  # new window active
-        assert cache.n_replays_detected == 1
 
     def test_replay_does_not_refresh_recency_order(self):
         """A detected replay leaves the original registration untouched.
@@ -191,3 +187,46 @@ class TestReplayCacheEvictionRegressions:
         assert len(cache) == 2
         assert not cache.check_and_register("c", now=52.0)
         assert not cache.check_and_register("d", now=52.0)
+
+
+class TestReplayCacheMatchesScan:
+    """Expiry-order eviction keeps exactly the state the full scan keeps."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_state_matches_scan_after_every_call(self, seed):
+        rng = random.Random(seed)
+        window = rng.choice([1.0, 10.0, 60.0])
+        cap = rng.choice([1, 3, 8, 1000])
+        cache, oracle = ReplayCache(window, cap), ScanReplayCache(window, cap)
+        pool = [f"n{i}" for i in range(rng.choice([4, 20, 200]))]
+        now = 0.0
+        for step in range(600):
+            # Quarter-window steps land entries exactly on the window's edge.
+            roll, quarters = rng.random(), rng.randrange(9) * window / 4
+            if roll < 0.1:
+                now -= rng.choice([quarters, rng.uniform(0.0, 2.5 * window)])  # clock regression
+            elif roll < 0.8:
+                now += rng.choice([0.0, quarters / 4, rng.uniform(0.0, 0.4 * window)])
+            else:
+                now += rng.choice([quarters, rng.uniform(0.5 * window, 2.0 * window)])
+            identifier = rng.choice(pool)
+            assert cache.check_and_register(identifier, now) == oracle.check_and_register(
+                identifier, now
+            )
+            assert cache.to_state() == oracle.to_state()
+            if step % 97 == 0:
+                cache = ReplayCache.from_state(cache.to_state())  # a restart mid-stream
+
+    def test_expiry_heap_stays_bounded_under_cap_pressure(self):
+        cache = ReplayCache(window_seconds=1e9, max_entries=4)
+        for i in range(1000):
+            cache.check_and_register(f"n{i}", now=float(i))
+        assert len(cache) == 4
+        assert len(cache._expiry) <= 2 * 4
+
+    def test_state_with_replay_tally_still_loads(self):
+        state = {"v": 1, "window_seconds": 60.0, "max_entries": 8,
+                 "seen": [["n0", 0.0], ["n1", 1.0]], "n_replays_detected": 3}
+        cache = ReplayCache.from_state(state)
+        assert not cache.check_and_register("n1", now=2.0)
+        assert "n_replays_detected" not in cache.to_state()

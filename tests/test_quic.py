@@ -1,9 +1,12 @@
 """Unit tests for transport latency models and the auth channel."""
 
+import random
+import struct
+
 import numpy as np
 import pytest
 
-from repro.crypto import pair
+from repro.crypto import SignedMessage, pair
 from repro.quic import (
     LAN_PATH,
     MOBILE_PATH,
@@ -126,15 +129,110 @@ class TestAuthChannel:
         assert receiver.receive(wire, now=100.1) is None
         assert receiver.rejections == {"malformed": 1}
 
-    def test_overflowing_feature_literal_is_malformed(self):
-        message = AuthMessage(
-            app_package="a", device_id="d", sensor_features=tuple(FEATURES), sent_at=5.0,
-            nonce="n",
-        )
-        payload = message.to_payload().replace(b"0.125,", b"1e999,", 1)
-        with pytest.raises(ValueError, match="48 finite numbers"):
-            AuthMessage.from_payload(payload)
-
     def test_latency_attached(self):
         channel, _ = _channel_pair()
         assert channel.sample_latency() > 0.0
+
+
+
+class TestWireRobustness:
+    """Damaged wires are rejected with exactly one reason and never raise."""
+
+    NOW = 100.1
+
+    @pytest.fixture()
+    def sent(self):
+        channel, receiver = _channel_pair()
+        wire = channel.prepare("com.nest.android", FEATURES, now=100.0, trace_id="t-1")
+        return wire, receiver
+
+    @staticmethod
+    def _rejected_once(receiver, wire, now=NOW):
+        before = sum(receiver.rejections.values())
+        assert receiver.receive(wire, now) is None
+        assert sum(receiver.rejections.values()) == before + 1
+
+    @staticmethod
+    def _payload(**changes):
+        fields = dict(app_package="app", device_id="phone-1", sensor_features=tuple(FEATURES),
+                      sent_at=100.0, nonce="n-1", trace_id="")
+        fields.update(changes)
+        return AuthMessage(**fields).to_payload()
+
+    @staticmethod
+    def _signed(receiver, payload):
+        """``payload`` signed with the pairing key, as wire bytes."""
+        return receiver.keystore.sign("fiat-pairing", payload).to_wire()
+
+    def test_every_truncation_is_rejected(self, sent):
+        wire, receiver = sent
+        for end in range(len(wire)):
+            self._rejected_once(receiver, wire[:end])
+        assert set(receiver.rejections) <= {"malformed", "bad-signature"}
+        assert receiver.receive(wire, self.NOW) is not None  # the intact wire still verifies
+
+    def test_every_single_bit_flip_is_rejected(self, sent):
+        wire, receiver = sent
+        for index in range(len(wire)):
+            for bit in range(8):
+                damaged = bytearray(wire)
+                damaged[index] ^= 1 << bit
+                self._rejected_once(receiver, bytes(damaged))
+        assert set(receiver.rejections) <= {"malformed", "bad-signature"}
+        assert receiver.rejections["malformed"] >= 8  # at least every flip of the format byte
+
+    def test_random_bytes_are_rejected(self, sent):
+        wire, receiver = sent
+        rng = random.Random(0)
+        for _ in range(500):
+            junk = rng.randbytes(rng.randrange(len(wire) + 64))
+            self._rejected_once(receiver, junk)
+            self._rejected_once(receiver, wire[:1] + junk)  # past the format byte
+            self._rejected_once(receiver, wire[: 34 + wire[33]] + junk)  # past the key alias
+        before = receiver.rejections["malformed"]
+        for _ in range(500):
+            junk = rng.randbytes(rng.randrange(600))
+            self._rejected_once(receiver, self._signed(receiver, junk))
+        assert receiver.rejections["malformed"] == before + 500  # signed junk never parses
+
+    @pytest.mark.parametrize("n_features", [47, 49])
+    def test_signed_wrong_feature_count_is_malformed(self, sent, n_features):
+        _, receiver = sent
+        features = (FEATURES * 2)[:n_features]
+        payload = self._payload(sensor_features=tuple(features))
+        assert receiver.receive(self._signed(receiver, payload), self.NOW) is None
+        assert receiver.rejections == {"malformed": 1}
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda p: p + b"\x00",
+            lambda p: p + b"\x02ab",
+            lambda p: p[:-1] + b"\x05",  # the last string's length runs past the end
+            lambda p: p[:-1],  # the last string's length byte is missing
+            lambda p: p[:100],  # cut inside the feature block
+            lambda p: p.replace(b"\x03n-1", b"\x03\xff\xfe\xfd"),  # nonce not UTF-8
+        ],
+        ids=["trailing-byte", "trailing-string", "length-past-end", "no-length", "short-block",
+             "bad-utf8"],
+    )
+    def test_signed_malformed_payload(self, sent, damage):
+        _, receiver = sent
+        wire = self._signed(receiver, damage(self._payload()))
+        assert receiver.receive(wire, self.NOW) is None
+        assert receiver.rejections == {"malformed": 1}
+
+    def test_signed_payload_roundtrip_is_exact(self, sent):
+        _, receiver = sent
+        features = tuple(float.fromhex(f"0x1.{i:013x}p-{i}") for i in range(48))
+        payload = self._payload(sensor_features=features, sent_at=100.0 + 2.0**-40, trace_id="é")
+        message = receiver.receive(self._signed(receiver, payload), self.NOW)
+        assert message.sensor_features == features
+        assert message.sent_at == 100.0 + 2.0**-40
+        assert message.trace_id == "é"
+
+    def test_feature_block_layout(self):
+        payload = self._payload()
+        sent_at, count, *features = struct.unpack_from("<dB48d", payload)
+        assert (sent_at, count, features) == (100.0, 48, FEATURES)
+        assert payload[struct.calcsize("<dB48d"):] == b"\x03app\x07phone-1\x03n-1\x00"

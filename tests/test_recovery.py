@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import pytest
 
@@ -117,7 +118,6 @@ class TestComponentStateSchemas:
         cache.check_and_register("n0", now=5.0)  # a detected replay
         restored = ReplayCache.from_state(cache.to_state())
         assert restored.to_state() == cache.to_state()
-        assert restored.n_replays_detected == 1
         assert not restored.check_and_register("n4", now=6.0)
 
     def test_breaker_roundtrip_preserves_timer(self):
@@ -155,7 +155,24 @@ def chaos_system():
     )
 
 
+#: A proxy recovery dir (stack state v1) written by the code that signed
+#: proofs as JSON envelopes: one snapshot and a journal of two such
+#: proofs plus a packet, left by a crash.
+GOLDEN_V1_DIR = os.path.join(os.path.dirname(__file__), "golden", "recovery_stack_v1")
+
+
 class TestRecoveryManager:
+    def test_pre_binary_wire_dir_is_refused(self, tmp_path, chaos_system):
+        """Its proofs would replay as malformed, silently forgetting them: refuse."""
+        state_dir = str(tmp_path / "state")
+        shutil.copytree(GOLDEN_V1_DIR, state_dir)
+        records = read_journal(os.path.join(state_dir, "journal-000001.jsonl")).records
+        assert [r["k"] for r in records] == ["auth", "auth", "pkt"]
+        assert all(r["w"].startswith("7b") for r in records[:2])  # JSON: b"{"
+        with pytest.raises(ValueError, match="unsupported stack state version: 1"):
+            RecoveryManager(state_dir, chaos_system.build_stack).recover()
+        assert sorted(os.listdir(state_dir)) == sorted(os.listdir(GOLDEN_V1_DIR))
+
     def test_start_refuses_nonempty_state_dir(self, tmp_path, chaos_system):
         state_dir = str(tmp_path / "state")
         manager = RecoveryManager(state_dir, chaos_system.build_stack)
