@@ -61,20 +61,11 @@ class FiatConfig:
     #: many milliseconds after the first send.
     retry_deadline_ms: float = 4000.0
 
-    # -- resilience: circuit breakers + degraded-mode policy ------------------
+    # -- resilience: circuit breakers ----------------------------------------
     #: Consecutive component failures before a circuit breaker opens.
     breaker_failure_threshold: int = 3
     #: Seconds an open breaker waits before sending a recovery probe.
     breaker_recovery_s: float = 60.0
-    #: Proxy policy while the validation service is down: ``fail-closed``
-    #: drops manual events (no unauthenticated manual traffic — the safe
-    #: default), ``fail-open`` allows them (availability over security).
-    validation_outage_policy: str = "fail-closed"
-    #: Proxy policy while a device's classifier is broken and only the
-    #: predictability rules remain: ``assume-manual`` treats every
-    #: unpredictable event as manual-shaped (requires a humanness proof),
-    #: ``allow`` waves unpredictable events through unclassified.
-    classifier_fallback: str = "assume-manual"
     #: Hard cap on the validation service's interaction registry.
     max_validated_interactions: int = 4096
 
@@ -101,15 +92,5 @@ class FiatConfig:
         return self.obs if self.obs is not None else NULL_OBS
 
     def __post_init__(self) -> None:
-        if self.validation_outage_policy not in ("fail-closed", "fail-open"):
-            raise ValueError(
-                f"validation_outage_policy must be 'fail-closed' or 'fail-open', "
-                f"got {self.validation_outage_policy!r}"
-            )
-        if self.classifier_fallback not in ("assume-manual", "allow"):
-            raise ValueError(
-                f"classifier_fallback must be 'assume-manual' or 'allow', "
-                f"got {self.classifier_fallback!r}"
-            )
         if self.snapshot_interval_s <= 0:
             raise ValueError("snapshot_interval_s must be positive")

@@ -281,9 +281,8 @@ class FiatProxy:
         Returns ``(manual, degraded)``: ``degraded`` is ``None`` for a
         healthy classification, else the fallback policy applied.  With
         the classifier broken only the predictability rules remain, so
-        the configurable fallback either treats every unpredictable
-        event as manual-shaped (``assume-manual``, needs a humanness
-        proof) or waves it through (``allow``).
+        every unpredictable event is treated as manual-shaped
+        (``assume-manual``): it needs a humanness proof.
         """
         breaker = self._breaker_for(device)
         if breaker.allow_request(now):
@@ -304,16 +303,14 @@ class FiatProxy:
                 return manual, None
         else:
             self.health["classifier_unavailable"] += 1
-        if self.config.classifier_fallback == "allow":
-            return False, "classifier-fallback:allow"
         return True, "classifier-fallback:assume-manual"
 
     def _human_backed(self, app: str, now: float):
         """Query the validation service behind its circuit breaker.
 
         Returns ``(human, degraded)``; when the service is down the
-        configured outage policy decides: ``fail-closed`` treats the
-        event as unbacked (drop), ``fail-open`` as backed (allow).
+        event is treated as unbacked (``fail-closed``: drop) — no
+        unauthenticated manual traffic.
         """
         if self._validation_breaker.allow_request(now):
             try:
@@ -328,8 +325,6 @@ class FiatProxy:
                 return human, None
         else:
             self.health["validation_unavailable"] += 1
-        if self.config.validation_outage_policy == "fail-open":
-            return True, "validation-outage:fail-open"
         return False, "validation-outage:fail-closed"
 
     def _decide(self, device: str, event: _OpenEvent, now: float) -> None:
@@ -710,8 +705,8 @@ class FiatProxy:
                 predicted_manual=bool(encoded["predicted_manual"]),
                 human_backed=encoded["human_backed"],
                 degraded=encoded["degraded"],
-                trace_id=str(encoded.get("trace_id", "")),
-                proof_trace=str(encoded.get("proof_trace", "")),
+                trace_id=str(encoded["trace_id"]),
+                proof_trace=str(encoded["proof_trace"]),
             )
             self._open[device] = event
         self._violations = {
@@ -727,7 +722,7 @@ class FiatProxy:
         self.alerts = [Alert(**a) for a in state["alerts"]]  # type: ignore[union-attr]
         self.n_allowed = int(state["n_allowed"])
         self.n_dropped = int(state["n_dropped"])
-        for key, value in state.get("health", {}).items():  # type: ignore[union-attr]
+        for key, value in state["health"].items():  # type: ignore[union-attr]
             self.health[key] = value
         breakers: Dict[str, object] = state["breakers"]  # type: ignore[assignment]
         self._validation_breaker = CircuitBreaker.from_state(

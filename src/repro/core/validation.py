@@ -25,7 +25,8 @@ __all__ = ["ValidatedInteraction", "HumanValidationService"]
 
 #: Version of the serialised state schema (see
 #: :meth:`HumanValidationService.to_state`).  v2 stores the channel's
-#: rejections as per-reason counts; v1 lists load as counts.
+#: rejections as per-reason counts; :meth:`HumanValidationService.restore`
+#: refuses every other version.
 _STATE_VERSION = 2
 
 
@@ -187,7 +188,7 @@ class HumanValidationService:
         A stored ``n_rejected_channel`` tally is ignored: it is the sum
         of the restored per-reason rejections.
         """
-        if state.get("v") not in (1, _STATE_VERSION):
+        if state.get("v") != _STATE_VERSION:
             raise ValueError(
                 f"unsupported HumanValidationService state version: {state.get('v')!r}"
             )
@@ -199,7 +200,7 @@ class HumanValidationService:
                 device_id=str(i["device_id"]),
                 verified_at=float(i["verified_at"]),
                 human=bool(i["human"]),
-                trace_id=str(i.get("trace_id", "")),
+                trace_id=str(i["trace_id"]),
             )
             for i in state["interactions"]  # type: ignore[union-attr]
         ]
@@ -207,11 +208,11 @@ class HumanValidationService:
         self.n_pruned = int(state["n_pruned"])
         receiver_state: Dict[str, object] = state["receiver"]  # type: ignore[assignment]
         self.receiver.freshness_window_s = float(receiver_state["freshness_window_s"])
-        rejections = receiver_state["rejections"]
-        if state["v"] == 1:  # v1 kept one list entry per rejected proof
-            rejections = Counter(rejections)  # type: ignore[arg-type]
         self.receiver.rejections = Counter(
-            {str(r): int(n) for r, n in rejections.items()}  # type: ignore[union-attr]
+            {
+                str(r): int(n)
+                for r, n in receiver_state["rejections"].items()  # type: ignore[union-attr]
+            }
         )
         self.receiver.replay_cache = ReplayCache.from_state(
             receiver_state["replay_cache"]  # type: ignore[arg-type]

@@ -37,7 +37,7 @@ byte-identical across backends, job counts, and kill/resume boundaries
 by contract (CI diffs the bytes).
 """
 
-from .aggregate import FleetAggregator, FleetReport, SampleReservoir, aggregate, percentile
+from .aggregate import FleetAggregator, FleetReport, SampleReservoir, percentile
 from .checkpoint import (
     CheckpointMismatch,
     FleetCheckpoint,
@@ -98,7 +98,6 @@ __all__ = [
     "SampleReservoir",
     "SpecStream",
     "SubmissionMismatch",
-    "aggregate",
     "generate_fleet",
     "home_seed",
     "iter_generate_fleet",

@@ -40,14 +40,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..obs import MetricsSnapshot
 from ..obs.mergetree import SnapshotAccumulator
 from ..util import spawn_seed
-from .spec import FleetSpec
 from .worker import HomeResult
 
 __all__ = [
     "FleetAggregator",
     "FleetReport",
     "SampleReservoir",
-    "aggregate",
     "percentile",
     "RESERVOIR_CAP",
     "HOME_ROWS_CAP",
@@ -156,9 +154,9 @@ class SampleReservoir:
 
     def restore(self, state: Dict[str, object]) -> None:
         """Inverse of :meth:`to_state`."""
-        self.values = [float(v) for v in state.get("values", [])]
-        self.n_seen = int(state.get("n_seen", len(self.values)))
-        self.total = float(state.get("total", 0.0))
+        self.values = [float(v) for v in state["values"]]
+        self.n_seen = int(state["n_seen"])
+        self.total = float(state["total"])
 
 
 class FleetAggregator:
@@ -266,9 +264,8 @@ class FleetAggregator:
 
     @classmethod
     def from_state(cls, state: Dict[str, object], name: str, seed: int) -> "FleetAggregator":
-        """Inverse of :meth:`to_state`."""
-        state_format = int(state.get("format", -1))
-        if state_format not in (1, 2, cls.STATE_FORMAT):
+        """Inverse of :meth:`to_state`; any other format raises ``ValueError``."""
+        if state.get("format") != cls.STATE_FORMAT:
             raise ValueError(
                 f"unsupported aggregator state format {state.get('format')!r}"
             )
@@ -276,30 +273,20 @@ class FleetAggregator:
         agg.epoch = int(state["epoch"])
         agg.n_ok = int(state["n_ok"])
         agg.n_failed = int(state["n_failed"])
-        agg.n_ok_rows_dropped = int(state.get("n_ok_rows_dropped", 0))
-        agg.max_idx = int(state.get("max_idx", -1))
+        agg.n_ok_rows_dropped = int(state["n_ok_rows_dropped"])
+        agg.max_idx = int(state["max_idx"])
         agg.ok_rows = {int(idx): dict(row) for idx, row in state["ok_rows"].items()}
         agg.failed_rows = {
             int(idx): dict(row) for idx, row in state["failed_rows"].items()
         }
-        for name_, reservoir_state in state.get("samples", {}).items():
-            if name_ in agg.samples:
-                agg.samples[name_].restore(reservoir_state)
+        for name_, reservoir in agg.samples.items():
+            reservoir.restore(state["samples"][name_])
         agg.class_counts = {
             cls_name: {k: int(v) for k, v in tally.items()}
-            for cls_name, tally in state.get("class_counts", {}).items()
+            for cls_name, tally in state["class_counts"].items()
         }
-        agg.alerts = {k: int(v) for k, v in state.get("alerts", {}).items()}
-        if state_format == 2:
-            # Binomial-forest checkpoint: level i covers an older range
-            # than level i - 1, so merge the levels oldest first.
-            for level in reversed(state["merge_tree"]["levels"]):
-                if level is not None:
-                    agg.metrics = agg.metrics.merge(SnapshotAccumulator.from_state(level))
-        else:
-            # Format 1 stored the rounded merged snapshot under the same
-            # key; its floats lift exactly as one range.
-            agg.metrics = SnapshotAccumulator.from_state(state.get("metrics", {}))
+        agg.alerts = {k: int(v) for k, v in state["alerts"].items()}
+        agg.metrics = SnapshotAccumulator.from_state(state["metrics"])
         return agg
 
     # -- rendering ---------------------------------------------------------------
@@ -497,26 +484,3 @@ class FleetReport:
             lines.append(f"  ({dropped} ok home rows beyond the retention cap omitted)")
         return "\n".join(lines)
 
-
-def aggregate(spec: FleetSpec, results: Sequence[HomeResult]) -> FleetReport:
-    """Fold per-home results (in spec order) into one :class:`FleetReport`.
-
-    The materialised convenience form of :class:`FleetAggregator` for
-    callers that already hold every result (tests, small fleets); the
-    runner itself folds incrementally and never builds ``results``.
-    """
-    if len(results) != len(spec.homes):
-        raise ValueError(
-            f"expected {len(spec.homes)} results for fleet {spec.name!r}, "
-            f"got {len(results)}"
-        )
-    for home, result in zip(spec.homes, results):
-        if home.home_id != result.home_id:
-            raise ValueError(
-                f"result order mismatch: spec {home.home_id!r} vs "
-                f"result {result.home_id!r}"
-            )
-    agg = FleetAggregator(spec.name, spec.seed)
-    for idx, result in enumerate(results):
-        agg.add(idx, result)
-    return agg.report(n_planned=len(spec.homes))

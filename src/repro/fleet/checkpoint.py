@@ -49,19 +49,25 @@ from .aggregate import FleetAggregator
 from .worker import HomeResult
 
 __all__ = [
-    "CHECKPOINT_FORMAT",
+    "FLEET_STATE_FORMAT",
     "CheckpointMismatch",
     "FleetCheckpoint",
     "ResumeState",
     "intact_results",
     "load_latest_aggregate",
+    "restore_aggregator",
     "result_digest",
 ]
 
 logger = logging.getLogger(__name__)
 
-#: Version of the fleet checkpoint container.
-CHECKPOINT_FORMAT = 1
+#: Version of every durable fleet file: checkpoint snapshots and journal
+#: headers here, the coordinator ledger header and range submissions in
+#: :mod:`repro.fleet.distrib`.  Each reader refuses any other version.
+#: Bumped whenever the results a state dir holds would no longer match
+#: what the current code produces (a change that moves
+#: ``tests/golden/fleet.json``): resuming must not mix the two.
+FLEET_STATE_FORMAT = 2
 
 
 class CheckpointMismatch(RuntimeError):
@@ -125,10 +131,20 @@ class ResumeState:
         if self.agg_state is None:
             agg = FleetAggregator(name, seed)
         else:
-            agg = FleetAggregator.from_state(self.agg_state, name, seed)
+            agg = restore_aggregator(self.agg_state, name, seed)
         for record in self.records:
             agg.add(int(record["idx"]), HomeResult.from_dict(record["result"]))
         return agg
+
+
+def restore_aggregator(state: Dict[str, object], name: str, seed: int) -> FleetAggregator:
+    """:meth:`FleetAggregator.from_state`, refusing another format as a mismatch."""
+    try:
+        return FleetAggregator.from_state(state, name, seed)
+    except ValueError as error:
+        raise CheckpointMismatch(
+            f"{error} — refusing to resume (start fresh without --resume)"
+        ) from None
 
 
 def _epoch_store(state_dir: str) -> EpochStore:
@@ -158,7 +174,7 @@ def _read_prefix(store: EpochStore, check_header: Callable[[object, str], None])
         headers.append(document.get("header"))
         state.agg_state = document["agg"]
         state.next_idx = int(document["next_idx"])
-        snapshot_agg_epoch = int(state.agg_state.get("epoch", 0))
+        snapshot_agg_epoch = int(state.agg_state["epoch"])
     elif store.snapshot_epochs():
         raise CheckpointMismatch(
             f"{store.directory}: every retained fleet snapshot is corrupt; "
@@ -225,7 +241,7 @@ class FleetCheckpoint:
         self.state_dir = state_dir
         self.fsync = fsync
         self.header: Dict[str, object] = {
-            "format": CHECKPOINT_FORMAT,
+            "format": FLEET_STATE_FORMAT,
             "name": name,
             "seed": int(seed),
             "spec_digest": spec_digest,
@@ -340,8 +356,9 @@ class FleetCheckpoint:
             raise CheckpointMismatch(f"{where}: checkpoint header missing")
         for key in ("format", "name", "seed", "spec_digest"):
             if header.get(key) != self.header[key]:
+                what = "another state format" if key == "format" else "a different fleet"
                 raise CheckpointMismatch(
                     f"{where}: checkpoint {key} {header.get(key)!r} does not match "
-                    f"this run's {self.header[key]!r} — refusing to resume a "
-                    f"different fleet (use a fresh --state-dir)"
+                    f"this run's {self.header[key]!r} — refusing to resume "
+                    f"{what} (use a fresh --state-dir)"
                 )

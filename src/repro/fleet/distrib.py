@@ -73,7 +73,13 @@ from ..recovery.journal import JournalWriter, read_journal
 from ..recovery.snapshot import EpochStore, read_snapshot, write_snapshot
 from ..util import spawn_seed
 from .aggregate import FleetAggregator, FleetReport
-from .checkpoint import CheckpointMismatch, intact_results, result_digest
+from .checkpoint import (
+    FLEET_STATE_FORMAT,
+    CheckpointMismatch,
+    intact_results,
+    restore_aggregator,
+    result_digest,
+)
 from .runner import KILL_AFTER_ENV, FleetRunner
 from .spec import FleetSpec, HomeSpec, JsonlSpecStream, SpecStream, open_spec, write_spec_jsonl
 from .telemetry import TelemetryWriter, load_frames
@@ -123,10 +129,6 @@ POLL_INTERVAL_S = 0.1
 
 #: The materialised spec copy machines read, under the state dir.
 SPEC_COPY_NAME = "spec.jsonl"
-
-LEDGER_FORMAT = 1
-SUBMIT_FORMAT = 1
-PAYLOAD_FORMAT = 1
 
 #: Coordinator aggregator snapshots, numbered by the ranges folded so far.
 COORDINATOR_SNAPSHOT = "coordinator-snapshot-{:04d}.json"
@@ -621,7 +623,7 @@ def run_machine(payload: Dict[str, object]) -> int:
             # this lease, so the late submission is always a zombie's.
             _await_revoke(range_dir, range_index, epoch)
         submission = {
-            "format": SUBMIT_FORMAT,
+            "format": FLEET_STATE_FORMAT,
             "range_index": range_index,
             "start": start,
             "stop": stop,
@@ -799,7 +801,7 @@ class DistribCoordinator:
         self.ranges = list(partition_ranges(n_homes, self.machines))
         self._header = {
             "kind": "header",
-            "format": LEDGER_FORMAT,
+            "format": FLEET_STATE_FORMAT,
             "name": self.source.name,
             "seed": self.source.seed,
             "n_homes": n_homes,
@@ -832,8 +834,11 @@ class DistribCoordinator:
                 "valid prefix", result.torn_reason,
             )
         header = result.records[0]
-        if header.get("kind") != "header" or int(header.get("format", -1)) != LEDGER_FORMAT:
-            raise SubmissionMismatch("coordinator ledger has no valid header")
+        if header.get("kind") != "header" or header.get("format") != FLEET_STATE_FORMAT:
+            raise SubmissionMismatch(
+                f"coordinator ledger has no format-{FLEET_STATE_FORMAT} header — "
+                "refusing to resume (use a fresh --state-dir)"
+            )
         if str(header.get("source_digest")) != self.source.digest:
             raise SubmissionMismatch(
                 "resume spec does not match the ledger: digest "
@@ -867,22 +872,20 @@ class DistribCoordinator:
                 self._rejected.add((r, int(record["epoch"])))
             elif kind == "folded":
                 ledger_folded = max(ledger_folded, r + 1)
-        self._ledger = JournalWriter(ledger_path, truncate_to=result.valid_bytes)
 
         # Newest valid aggregator snapshot wins; ranges folded into the
         # aggregate after that snapshot are re-folded from their range
         # dirs (cheap — the results are on disk, nothing re-runs).
-        folded, state = self._snapshots.newest_snapshot(
+        _, state = self._snapshots.newest_snapshot(
             lambda _folded, state: str(state.get("spec_digest")) == str(header["spec_digest"])
         )
         if state is None:
             self._agg = FleetAggregator(self.source.name, self.source.seed)
             self._folded_upto = 0
         else:
-            self._agg = FleetAggregator.from_state(
-                state["agg"], self.source.name, self.source.seed
-            )
-            self._folded_upto = int(state.get("folded_upto", folded))
+            self._agg = restore_aggregator(state["agg"], self.source.name, self.source.seed)
+            self._folded_upto = int(state["folded_upto"])
+        self._ledger = JournalWriter(ledger_path, truncate_to=result.valid_bytes)
         if ledger_folded > self._folded_upto:
             logger.info(
                 "resume: re-folding ranges %d..%d from disk (snapshot lag)",
@@ -994,7 +997,7 @@ class DistribCoordinator:
         if submission is None:
             return "submission file missing or corrupt"
         try:
-            if int(submission["format"]) != SUBMIT_FORMAT:
+            if submission["format"] != FLEET_STATE_FORMAT:
                 return f"unsupported submission format {submission['format']!r}"
             start, stop = self.ranges[range_index]
             checks = (
@@ -1148,7 +1151,6 @@ class DistribCoordinator:
         range_dir = store.directory
         os.makedirs(range_dir, exist_ok=True)
         payload = {
-            "format": PAYLOAD_FORMAT,
             "spec": self._spec_copy_path(),
             "spec_digest": self._header["spec_digest"],
             "range_index": range_index,
@@ -1245,10 +1247,7 @@ def merge_range_dirs(paths: Sequence[str]) -> FleetReport:
     """
 
     def known_format(_epoch: int, submission: Dict[str, object]) -> bool:
-        try:
-            return int(submission["format"]) == SUBMIT_FORMAT
-        except (KeyError, TypeError, ValueError):
-            return False
+        return submission.get("format") == FLEET_STATE_FORMAT
 
     entries: List[Tuple[str, Dict[str, object]]] = []
     for range_dir in _expand_range_dirs(paths):

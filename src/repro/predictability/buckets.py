@@ -50,7 +50,7 @@ DEFAULT_RESOLUTION = 0.25
 
 #: Version of the serialised state schema (see :meth:`BucketPredictor.to_state`).
 #: v2 drops the per-packet ``packets`` history unless tracking is enabled;
-#: v1 states are lifted compatibly on load.
+#: :meth:`BucketPredictor.from_state` refuses every other version.
 _STATE_VERSION = 2
 
 
@@ -258,25 +258,22 @@ class BucketPredictor:
     ) -> "BucketPredictor":
         """Rebuild a predictor from :meth:`to_state` output.
 
-        Accepts the current v2 schema and lifts v1 states compatibly:
-        v1 always carried the per-packet history, which is preserved
-        only when the lifted predictor tracks packet bins (v1 states
-        load as non-tracking by default — the online-learner memory fix
-        applies retroactively to old snapshots).
+        Accepts the current v2 schema only; any other version raises
+        ``ValueError``.
 
         ``dns`` and ``obs`` are process-local resources (the DNS table is
         rebuilt by the host, the observability handle belongs to the new
         process) and are therefore re-injected rather than serialised.
         """
         version = state.get("v")
-        if version not in (1, _STATE_VERSION):
+        if version != _STATE_VERSION:
             raise ValueError(f"unsupported BucketPredictor state version: {version!r}")
         predictor = cls(
             definition=FlowDefinition(state["definition"]),
             dns=dns,
             resolution=float(state["resolution"]),
             neighbor_bins=int(state["neighbor_bins"]),
-            track_packet_bins=bool(state.get("track_packet_bins", False)),
+            track_packet_bins=bool(state["track_packet_bins"]),
             obs=obs,
         )
         predictor._n_observed = int(state["n_observed"])
@@ -286,9 +283,7 @@ class BucketPredictor:
             bucket.last_timestamp = None if last is None else float(last)
             bucket.iat_bins = {int(b): int(count) for b, count in encoded["bins"].items()}
             if predictor.track_packet_bins:
-                bucket.packet_bins = [
-                    (int(i), int(b)) for i, b in encoded.get("packets", [])
-                ]
+                bucket.packet_bins = [(int(i), int(b)) for i, b in encoded["packets"]]
             predictor._buckets[decode_flow_key(encoded_key)] = bucket
         return predictor
 

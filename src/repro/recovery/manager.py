@@ -40,12 +40,15 @@ __all__ = ["RecoveryManager", "RecoveryReport"]
 
 logger = logging.getLogger(__name__)
 
-#: Version of the combined stack-state schema written into snapshots.
-#: v2: journaled proofs carry the binary wire of
-#: :class:`~repro.crypto.keystore.SignedMessage`; a v1 directory holds
-#: JSON-envelope wires no receiver decodes, so :meth:`RecoveryManager.recover`
-#: refuses it.
-STACK_STATE_VERSION = 2
+#: Version of the combined stack state, written into every snapshot and
+#: into the header record that opens every journal segment.
+#: :meth:`RecoveryManager.recover` refuses a directory holding any other
+#: version (v1 journaled JSON-envelope proof wires, v2 segments had no
+#: header) before it writes anything to it.
+STACK_STATE_VERSION = 3
+
+#: First record of every journal segment.
+_JOURNAL_HEADER = {"k": "header", "v": STACK_STATE_VERSION}
 
 
 @dataclass
@@ -245,6 +248,8 @@ class RecoveryManager:
         n_bytes = write_snapshot(self._store.snapshot_path(self._epoch), self._stack_state(now))
         self.close()
         self._writer = JournalWriter(self._store.journal_path(self._epoch), fsync=self.fsync)
+        # Synced, so a torn tail never reaches the header.
+        self._writer.append(_JOURNAL_HEADER, sync=True)
         self._last_snapshot_t = now
         # Compaction: epoch e stays as the fallback for a corrupt snapshot e+1.
         self._store.prune(self._epoch)
@@ -284,11 +289,11 @@ class RecoveryManager:
         still on disk — past that, ``ValueError`` (fail-closed: a partial
         replay would forget consumed proofs).  A journal segment's
         corrupt tail ends replay (record order past a bad frame cannot
-        be trusted).
+        be trusted).  A snapshot or journal segment of another
+        :data:`STACK_STATE_VERSION` raises ``ValueError`` before anything
+        is written to the directory.
         """
         proxy, validation = self.factory()
-        self._proxy = proxy
-        self._validation = validation
         self._sync_epoch_to_disk()
 
         def supported(epoch: int, state: Dict[str, object]) -> bool:
@@ -310,15 +315,26 @@ class RecoveryManager:
             validation.restore(state["validation"])  # type: ignore[attr-defined,arg-type]
             horizon_t = float(state["t"])  # type: ignore[arg-type]
 
-        n_replayed = 0
-        torn = False
-        torn_bytes = 0
+        segments = []
         for epoch in self._store.journal_epochs():
             if epoch < snapshot_epoch:
                 continue
+            result = read_journal(self._store.journal_path(epoch))
+            if result.records[:1] != [_JOURNAL_HEADER]:
+                raise ValueError(
+                    f"{self.state_dir}: journal epoch {epoch} does not open with "
+                    f"the stack state version {STACK_STATE_VERSION} header"
+                )
+            segments.append((epoch, result))
+            if result.torn:
+                break  # segments past a corruption cannot be trusted
+
+        n_replayed = 0
+        torn = False
+        torn_bytes = 0
+        for epoch, result in segments:
             path = self._store.journal_path(epoch)
-            result = read_journal(path)
-            for record in result.records:
+            for record in result.records[1:]:
                 self._apply(proxy, record)
                 t = self._record_time(record)
                 if t is not None:
@@ -336,7 +352,6 @@ class RecoveryManager:
                     result.torn_reason,
                     torn_bytes,
                 )
-                break  # segments past a corruption cannot be trusted
 
         # Events left open by the crash close fail-closed: no packet rides
         # through on pre-crash optimism.  Journaling then resumes in a
@@ -344,6 +359,9 @@ class RecoveryManager:
         # every stale/torn segment is compacted away.
         checkpoint_t = restart_t if restart_t is not None else (horizon_t or 0.0)
         n_reconciled = proxy.reconcile_after_crash(checkpoint_t)  # type: ignore[attr-defined]
+        # Attach only now: a refused directory must stay unwritable.
+        self._proxy = proxy
+        self._validation = validation
         self._rotate_epoch(checkpoint_t)
 
         self.n_restarts += 1

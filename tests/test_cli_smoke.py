@@ -318,3 +318,46 @@ def test_fleet_cli_resume_of_complete_run_is_noop(workdir, capsys):
         (workdir / "fleet-resumed.json").read_bytes()
         == (workdir / "fleet-report.json").read_bytes()
     )
+
+
+@pytest.mark.parametrize(
+    "machines,edit",
+    [
+        ("1", "previous-fleet-format"),
+        ("1", "aggregator-format-7"),
+        ("2", "previous-fleet-format"),
+    ],
+)
+def test_fleet_resume_refuses_other_format(tmp_path, capsys, machines, edit):
+    """Resuming a state dir of another format is one ``fleet: …`` line and exit 2."""
+    from repro.fleet.checkpoint import FLEET_STATE_FORMAT
+    from repro.fleet.distrib import LEDGER_NAME
+    from repro.recovery import JournalWriter, read_journal, read_snapshot, write_snapshot
+
+    state_dir = tmp_path / "state"
+    argv = [
+        "fleet", "--homes", "1", "--jobs", "1", "--machines", machines,
+        "--manual", "1", "--non-manual", "2", "--attacks", "1",
+        "--training-events", "40", "--state-dir", str(state_dir),
+    ]
+    assert main(argv) == 0
+    if machines == "2":
+        ledger = str(state_dir / LEDGER_NAME)
+        records = read_journal(ledger).records
+        records[0]["format"] = FLEET_STATE_FORMAT - 1
+        (state_dir / LEDGER_NAME).unlink()
+        with JournalWriter(ledger) as log:
+            for record in records:
+                log.append(record)
+    else:
+        newest = str(max(state_dir.glob("fleet-snapshot-*")))
+        state = read_snapshot(newest)
+        if edit == "previous-fleet-format":
+            state["header"]["format"] = FLEET_STATE_FORMAT - 1
+        else:
+            state["agg"]["format"] = 7
+        write_snapshot(newest, state)
+    capsys.readouterr()
+    assert main(argv + ["--resume"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fleet: ") and err.count("\n") == 1, err

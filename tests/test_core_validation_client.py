@@ -128,15 +128,20 @@ class TestChannelRejectCounts:
         assert restored.receiver.rejections == {"malformed": 3}
         assert restored.to_state() == service.to_state()
 
-    def test_v1_rejection_list_loads_as_counts(self, stack):
+    @pytest.mark.parametrize("version", [1, 3])
+    def test_other_versions_refused(self, stack, version):
+        """Only v2 loads: a v1 state (one rejection list entry per proof) is refused."""
         _, shared, _ = stack
         service = HumanValidationService(pair("phone", "proxy")[1], validator=shared.validator)
-        state = service.to_state()
-        state["v"] = 1
-        state["receiver"]["rejections"] = ["replay", "stale", "replay"]
-        service.restore(state)
-        assert service.receiver.rejections == {"replay": 2, "stale": 1}
-        assert service.to_state()["receiver"]["rejections"] == {"replay": 2, "stale": 1}
+        service.ingest(b"garbage", now=0.0)
+        before = json.dumps(service.to_state())
+        state = json.loads(before)
+        state["v"] = version
+        if version == 1:
+            state["receiver"]["rejections"] = ["replay", "stale", "replay"]
+        with pytest.raises(ValueError, match=f"state version: {version}"):
+            service.restore(state)
+        assert json.dumps(service.to_state()) == before
 
     def test_state_with_stored_tallies_loads(self, stack):
         """States that also stored the channel and replay tallies still load."""

@@ -3,7 +3,6 @@
 import json
 
 import numpy as np
-import pytest
 
 from repro.core import (
     FiatConfig,
@@ -338,20 +337,6 @@ class TestDegradedModes:
         assert any("recovered" in a.reason for a in health)
         assert system.proxy.health["degraded_decisions"] == len(during)
 
-    def test_validation_outage_fail_open_policy(self):
-        plan = FaultPlan(seed=1, outages=(OutageWindow("validation", 200.0, 400.0),))
-        system = _system(
-            config=FiatConfig(
-                bootstrap_s=0.0,
-                breaker_recovery_s=20.0,
-                validation_outage_policy="fail-open",
-            )
-        )
-        system.run_accuracy(n_manual=20, n_non_manual=0, n_attacks=0, faults=plan)
-        during = [d for d in _manual_decisions(system) if 200.0 <= d.start < 400.0]
-        assert during and all(not d.blocked for d in during)
-        assert all(d.degraded == "validation-outage:fail-open" for d in during)
-
     def test_classifier_outage_rule_only_fallback(self):
         """A broken classifier leaves rules: unpredictable => needs a proof."""
         plan = FaultPlan(seed=1, outages=(OutageWindow("classifier:SP10", 100.0, 500.0),))
@@ -376,16 +361,6 @@ class TestDegradedModes:
         assert any(d.blocked for d in nonman_deg)
         assert system.proxy.health["classifier_errors"] > 0
 
-    def test_classifier_fallback_allow_policy(self):
-        plan = FaultPlan(seed=1, outages=(OutageWindow("classifier:SP10", 100.0, 500.0),))
-        system = _system(
-            config=FiatConfig(bootstrap_s=0.0, classifier_fallback="allow")
-        )
-        system.run_accuracy(n_manual=5, n_non_manual=10, n_attacks=0, faults=plan)
-        degraded = [d for d in system.proxy.decisions
-                    if d.degraded == "classifier-fallback:allow"]
-        assert degraded and all(not d.blocked for d in degraded)
-
     def test_sensor_dropout_blocks_manual_but_never_crashes(self):
         plan = FaultPlan(seed=2, sensor_dropout_rate=1.0)
         system = _system()
@@ -400,9 +375,3 @@ class TestDegradedModes:
         assert system.human_confusion["tp"] == 0  # no genuine proof ever sent
         assert 2 * system.human_confusion["fp"] >= len(manual) - blocked
         assert all(r.acked for r in system.auth_reports)
-
-    def test_config_policy_validation(self):
-        with pytest.raises(ValueError):
-            FiatConfig(validation_outage_policy="panic")
-        with pytest.raises(ValueError):
-            FiatConfig(classifier_fallback="guess")

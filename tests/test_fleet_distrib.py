@@ -15,7 +15,8 @@ one:
 * *durability*: per-machine results journals double as checkpoints
   (an epoch-2 lease replays its predecessor's log instead of
   re-running homes) and the coordinator ledger resumes byte-identically
-  after SIGKILL without re-running completed ranges.
+  after SIGKILL without re-running completed ranges; state written in
+  any other format is refused, never folded.
 """
 
 import json
@@ -29,6 +30,7 @@ import pytest
 
 from repro.cli import main
 from repro.fleet import (
+    CheckpointMismatch,
     DistribCoordinator,
     DistribError,
     FleetMonitor,
@@ -42,7 +44,7 @@ from repro.fleet import (
     partition_ranges,
     write_spec_jsonl,
 )
-from repro.fleet.checkpoint import result_digest
+from repro.fleet.checkpoint import FLEET_STATE_FORMAT, result_digest
 from repro.fleet.distrib import (
     LEDGER_NAME,
     covered_prefix,
@@ -56,7 +58,8 @@ from repro.fleet.distrib import (
 )
 from repro.faults import FaultPlan, MachineFault
 from repro.recovery.journal import JournalWriter, read_journal
-from repro.recovery.snapshot import read_snapshot
+from repro.obs.mergetree import SnapshotAccumulator
+from repro.recovery.snapshot import read_snapshot, write_snapshot
 
 #: the checkout these tests belong to; CLI subprocesses run its ``src``
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -506,6 +509,88 @@ class TestCoordinatorResume:
             DistribCoordinator(
                 other, state_dir=state_dir, machines=2, resume=True
             ).run()
+
+
+# -- durable state of another format ---------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def runner_state(tmp_path_factory, serial_ref):
+    """A finished single-machine checkpointed run over the reference spec."""
+    spec, ref = serial_ref
+    state_dir = str(tmp_path_factory.mktemp("runner") / "state")
+    assert FleetRunner(spec, jobs=1, state_dir=state_dir).run().to_json() == ref
+    return state_dir
+
+
+def _rewrite_newest(directory, prefix, edit):
+    """Apply ``edit`` to the state of the newest snapshot file named ``prefix*``."""
+    path = os.path.join(directory, max(n for n in os.listdir(directory) if n.startswith(prefix)))
+    state = read_snapshot(path)
+    edit(state)
+    write_snapshot(path, state)
+
+
+def _age_aggregator(state, fmt):
+    """Rewrite an aggregator state as format ``fmt`` stored its metrics."""
+    metrics = state.pop("metrics")
+    state["format"] = fmt
+    if fmt == 1:  # the rounded merged snapshot
+        state["metrics"] = json.loads(SnapshotAccumulator.from_state(metrics).snapshot().to_json())
+    else:  # a binomial forest of partial accumulators
+        state["merge_tree"] = {"levels": [metrics]}
+
+
+class TestOtherFormatRefused:
+    @pytest.mark.parametrize("fmt", [1, 2])
+    @pytest.mark.parametrize("via", ["runner", "coordinator"])
+    def test_old_aggregator_format_refused(
+        self, tmp_path, serial_ref, runner_state, clean_distrib, via, fmt
+    ):
+        spec, _ = serial_ref
+        state_dir = str(tmp_path / "state")
+        if via == "runner":
+            shutil.copytree(runner_state, state_dir)
+            _rewrite_newest(state_dir, "fleet-snapshot-", lambda s: _age_aggregator(s["agg"], fmt))
+            resumed = FleetRunner(spec, jobs=1, state_dir=state_dir, resume=True)
+        else:
+            shutil.copytree(clean_distrib[0], state_dir)
+            _rewrite_newest(
+                state_dir, "coordinator-snapshot-", lambda s: _age_aggregator(s["agg"], fmt)
+            )
+            resumed = DistribCoordinator(spec, state_dir=state_dir, machines=2, resume=True)
+        with pytest.raises(CheckpointMismatch, match=f"aggregator state format {fmt}"):
+            resumed.run()
+
+    @pytest.mark.parametrize("store", ["checkpoint", "ledger", "submission"])
+    def test_previous_fleet_format_refused(
+        self, tmp_path, serial_ref, runner_state, clean_distrib, store
+    ):
+        spec, _ = serial_ref
+        old = FLEET_STATE_FORMAT - 1
+        state_dir = str(tmp_path / "state")
+        if store == "checkpoint":
+            shutil.copytree(runner_state, state_dir)
+            _rewrite_newest(state_dir, "fleet-snapshot-", lambda s: s["header"].update(format=old))
+            with pytest.raises(CheckpointMismatch, match=f"checkpoint format {old}"):
+                FleetRunner(spec, jobs=1, state_dir=state_dir, resume=True).run()
+            return
+        shutil.copytree(clean_distrib[0], state_dir)
+        if store == "ledger":
+            ledger = os.path.join(state_dir, LEDGER_NAME)
+            records = read_journal(ledger).records
+            records[0]["format"] = old
+            os.remove(ledger)
+            with JournalWriter(ledger) as log:
+                for record in records:
+                    log.append(record)
+            with pytest.raises(SubmissionMismatch, match=f"no format-{FLEET_STATE_FORMAT} header"):
+                DistribCoordinator(spec, state_dir=state_dir, machines=2, resume=True).run()
+        else:
+            range_dir = os.path.join(state_dir, range_dir_name(0))
+            _rewrite_newest(range_dir, "submit-", lambda s: s.update(format=old))
+            with pytest.raises(SubmissionMismatch, match="no valid range submission"):
+                merge_range_dirs([state_dir])
 
 
 class TestMonitorIntegration:

@@ -8,7 +8,6 @@ from repro.fleet import (
     FleetSpec,
     HomeResult,
     HomeSpec,
-    aggregate,
     generate_fleet,
     percentile,
     run_home,
@@ -195,20 +194,6 @@ class TestRunnerValidation:
 
 
 class TestAggregate:
-    def test_order_mismatch_rejected(self):
-        spec = _spec(2, seed=0)
-        results = [
-            HomeResult(home_id=spec.homes[1].home_id),
-            HomeResult(home_id=spec.homes[0].home_id),
-        ]
-        with pytest.raises(ValueError, match="order mismatch"):
-            aggregate(spec, results)
-
-    def test_count_mismatch_rejected(self):
-        spec = _spec(2, seed=0)
-        with pytest.raises(ValueError, match="expected 2 results"):
-            aggregate(spec, [HomeResult(home_id=spec.homes[0].home_id)])
-
     def test_failed_homes_excluded_from_population(self):
         report = FleetRunner(_poisoned_spec(), jobs=1).run()
         # population stats count only ok homes' device rows

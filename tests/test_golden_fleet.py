@@ -6,13 +6,10 @@ state root (``recover=True``) — must keep producing the same report bytes
 and the same merged metrics snapshot.  ``golden/fleet.json`` holds both
 SHA-256 digests.
 
-``golden/fleet_state_v2.json`` is a format-2 ``FleetAggregator.to_state()``
-captured after folding homes 0–5 of the same fleet.  Resuming from it and
-folding homes 6–11 must reach the same report digest, so state dirs
-written by older code stay resumable.
-
 A change that is meant to alter the report updates ``golden/fleet.json``
-through ``tools/regen_golden.py``, visibly, in the same commit.
+through ``tools/regen_golden.py``, visibly, in the same commit, and bumps
+``repro.fleet.checkpoint.FLEET_STATE_FORMAT``: a state dir holding the
+old results must be refused on resume, not folded into the new report.
 """
 
 import dataclasses
@@ -24,17 +21,14 @@ import sys
 
 import pytest
 
-from repro.fleet import FleetAggregator, FleetRunner, FleetSpec, generate_fleet
+from repro.fleet import FleetRunner, FleetSpec, generate_fleet
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 REGEN_TOOL = os.path.join(os.path.dirname(__file__), "..", "tools", "regen_golden.py")
 GOLDEN_PATH = os.path.join(GOLDEN_DIR, "fleet.json")
-STATE_V2_PATH = os.path.join(GOLDEN_DIR, "fleet_state_v2.json")
 
 #: the home that journals its state (``recover=True``)
 RECOVER_IDX = 3
-#: homes folded into the format-2 state fixture
-STATE_V2_HOMES = 6
 
 
 def golden_spec() -> FleetSpec:
@@ -104,43 +98,6 @@ def test_report_digest(golden_run, golden):
 def test_snapshot_digest(golden_run, golden):
     _, report, _ = golden_run
     assert sha256(report.snapshot().to_json()) == golden["snapshot_sha256"]
-
-
-def resume_digest(state, spec, results):
-    """Report digest after resuming from ``state`` and folding the rest."""
-    agg = FleetAggregator.from_state(state, spec.name, spec.seed)
-    for idx in range(agg.epoch, len(spec.homes)):
-        agg.add(idx, results[idx])
-    return sha256(agg.report(n_planned=len(spec.homes)).to_json())
-
-
-def load_state_v2():
-    with open(STATE_V2_PATH) as handle:
-        state = json.load(handle)
-    assert state["format"] == 2 and state["epoch"] == STATE_V2_HOMES
-    return state
-
-
-def test_format2_state_resumes_to_same_report(golden_run, golden):
-    spec, _, results = golden_run
-    state = load_state_v2()
-    assert resume_digest(state, spec, results) == golden["report_sha256"]
-
-
-def test_format1_state_resumes_to_same_report(golden_run, golden):
-    """A format-1 state stored the merged metrics as a rounded snapshot."""
-    spec, _, results = golden_run
-    state = load_state_v2()
-    merged = FleetAggregator.from_state(state, spec.name, spec.seed).merged
-    del state["merge_tree"]
-    state["format"] = 1
-    state["metrics"] = {
-        "counters": merged.counters,
-        "gauges": merged.gauges,
-        "histograms": merged.histograms,
-    }
-    state = json.loads(json.dumps(state))
-    assert resume_digest(state, spec, results) == golden["report_sha256"]
 
 
 def test_regen_tool_refuses_without_reason():

@@ -7,9 +7,7 @@ contract these tests pin down:
 
 * merging partial ranges in order — any grouping of the sequence —
   renders byte-identically to the shard-by-shard fold, for *any* values
-  (exact rational addition is associative).  Resuming a format-2
-  aggregator checkpoint relies on this: it merges the stored partial
-  ranges of the old binomial forest oldest first;
+  (exact rational addition is associative);
 * for integral-valued shards — every production counter and histogram
   count — the exact fold is also byte-identical to the *old float*
   fold, so the exact sums changed no committed report bytes;
@@ -160,8 +158,8 @@ class TestTreeState:
 
 
 class TestAbsorb:
-    """Merging later partial ranges into an earlier one, in order — what
-    the format-2 checkpoint lift does with the stored forest levels."""
+    """Merging later partial ranges into an earlier one, in order: any
+    grouping of the fold renders the same bytes as the flat fold."""
 
     @pytest.mark.parametrize("splits", [(3, 4), (1, 1, 5), (2, 2, 2, 1)])
     def test_group_trees_equal_flat_tree(self, splits):

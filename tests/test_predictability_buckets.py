@@ -202,27 +202,18 @@ class TestOnlineMemoryBounded:
 
 
 class TestStateVersioning:
-    def _v1_state(self):
+    @pytest.mark.parametrize("version", [1, 3])
+    def test_other_versions_refused(self, version):
+        """Only v2 loads: a v1 state (per-packet history, no tracking flag) is refused."""
         tracking = BucketPredictor(track_packet_bins=True)
         for packet in _random_packets(6, n=120):
             tracking.observe(packet)
         state = tracking.to_state()
-        state["v"] = 1
-        del state["track_packet_bins"]  # v1 predates the flag
-        return state, tracking
-
-    def test_v1_state_lifts_as_non_tracking(self):
-        state, _ = self._v1_state()
-        lifted = BucketPredictor.from_state(state)
-        assert lifted.track_packet_bins is False
-        # The retroactive memory fix: v1 per-packet history is dropped.
-        assert all(b.packet_bins == [] for b in lifted._buckets.values())
-
-    def test_v1_lift_preserves_learning(self):
-        state, original = self._v1_state()
-        lifted = BucketPredictor.from_state(state)
-        assert lifted.recurring_buckets() == original.recurring_buckets()
-        assert lifted._n_observed == original._n_observed
+        state["v"] = version
+        if version == 1:
+            del state["track_packet_bins"]  # v1 predates the flag
+        with pytest.raises(ValueError, match=f"state version: {version}"):
+            BucketPredictor.from_state(state)
 
     def test_v2_round_trip_exact(self):
         import json

@@ -21,6 +21,7 @@ from repro.recovery import (
     write_snapshot,
 )
 from repro.recovery.chaos import build_chaos_workload, run_crashed, run_uninterrupted
+from repro.recovery.manager import STACK_STATE_VERSION
 from tests.conftest import make_packet
 
 
@@ -161,6 +162,15 @@ def chaos_system():
 GOLDEN_V1_DIR = os.path.join(os.path.dirname(__file__), "golden", "recovery_stack_v1")
 
 
+def _dir_bytes(path):
+    """``{name: bytes}`` of every file in a directory."""
+    contents = {}
+    for name in os.listdir(path):
+        with open(os.path.join(path, name), "rb") as handle:
+            contents[name] = handle.read()
+    return contents
+
+
 class TestRecoveryManager:
     def test_pre_binary_wire_dir_is_refused(self, tmp_path, chaos_system):
         """Its proofs would replay as malformed, silently forgetting them: refuse."""
@@ -172,6 +182,45 @@ class TestRecoveryManager:
         with pytest.raises(ValueError, match="unsupported stack state version: 1"):
             RecoveryManager(state_dir, chaos_system.build_stack).recover()
         assert sorted(os.listdir(state_dir)) == sorted(os.listdir(GOLDEN_V1_DIR))
+
+    @pytest.mark.parametrize("damage", ["v1-snapshot-garbage", "v1-snapshot-missing", "headerless"])
+    def test_dir_of_another_version_is_refused_before_any_write(
+        self, tmp_path, chaos_system, damage
+    ):
+        """With no readable snapshot, the journal header alone still refuses the dir.
+
+        ``v1-*``: the pre-binary-wire dir with its snapshot destroyed would
+        otherwise cold-start and replay its proofs as malformed rejects.
+        ``headerless``: a segment without the version header (as written
+        before journals carried one).
+        """
+        state_dir = str(tmp_path / "state")
+        if damage == "headerless":
+            manager = RecoveryManager(state_dir, chaos_system.build_stack)
+            manager.start(*chaos_system.build_stack())
+            manager.journal_packet(make_packet(timestamp=1.0, device="SP10"))
+            manager.close()
+            journal = os.path.join(state_dir, "journal-000001.jsonl")
+            records = read_journal(journal).records
+            assert records[0] == {"k": "header", "v": STACK_STATE_VERSION}
+            with open(journal, "wb") as handle:
+                handle.writelines(frame_record(r) for r in records[1:])
+        else:
+            shutil.copytree(GOLDEN_V1_DIR, state_dir)
+        snapshot = os.path.join(state_dir, "snapshot-000001.json")
+        if damage == "v1-snapshot-missing":
+            os.remove(snapshot)
+        else:
+            with open(snapshot, "w") as handle:
+                handle.write("garbage")
+        before = _dir_bytes(state_dir)
+        manager = RecoveryManager(state_dir, chaos_system.build_stack)
+        with pytest.raises(ValueError, match="journal epoch 1 does not open with"):
+            manager.recover()
+        # The refused stack is not attached, so nothing can be checkpointed over the dir.
+        with pytest.raises(ValueError, match="no attached stack"):
+            manager.checkpoint(5.0)
+        assert _dir_bytes(state_dir) == before
 
     def test_start_refuses_nonempty_state_dir(self, tmp_path, chaos_system):
         state_dir = str(tmp_path / "state")

@@ -6,10 +6,6 @@ reason to CHANGES.md together with the files whose digests moved.  Run
 from the repository root:
 
     python tools/regen_golden.py --reason "why the pins move"
-
-The format-2 aggregator state fixture (tests/golden/fleet_state_v2.json)
-is not regenerated: it was captured from the code that still wrote
-format 2, and current code writes a newer format.
 """
 
 from __future__ import annotations
