@@ -29,7 +29,16 @@ from ..net.packet import Packet
 from ..obs import NULL_OBS, Observability
 from ..testbed.devices import DeviceProfile
 
-__all__ = ["EventClassifier", "SimpleRuleClassifier", "train_event_classifier"]
+__all__ = [
+    "EventClassifier",
+    "FIRST_N_PACKETS",
+    "SimpleRuleClassifier",
+    "train_event_classifier",
+]
+
+#: Packets of an unpredictable event featurised by the ML classifiers,
+#: and the decision prefix the proxy waits for on ML devices (§4.1).
+FIRST_N_PACKETS = 5
 
 
 class SimpleRuleClassifier:
@@ -52,7 +61,7 @@ class EventClassifier:
     def __init__(
         self,
         device: str,
-        first_n: int = 5,
+        first_n: int = FIRST_N_PACKETS,
         rule: Optional[SimpleRuleClassifier] = None,
         model: Optional[Classifier] = None,
         scaler: Optional[StandardScaler] = None,
@@ -102,7 +111,7 @@ class EventClassifier:
 def train_event_classifier(
     profile: DeviceProfile,
     training_events: Optional[Sequence[UnpredictableEvent]] = None,
-    first_n: int = 5,
+    first_n: int = FIRST_N_PACKETS,
     model: Optional[Classifier] = None,
     obs: Optional[Observability] = None,
 ) -> EventClassifier:

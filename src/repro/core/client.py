@@ -75,17 +75,6 @@ class RetryPolicy:
         if self.initial_rto_ms <= 0 or self.backoff < 1.0:
             raise ValueError("initial_rto_ms must be > 0 and backoff >= 1")
 
-    @classmethod
-    def from_config(cls, config) -> "RetryPolicy":
-        """Build from the ``retry_*`` knobs of a :class:`FiatConfig`."""
-        return cls(
-            initial_rto_ms=config.retry_initial_rto_ms,
-            backoff=config.retry_backoff,
-            max_rto_ms=config.retry_max_rto_ms,
-            jitter_ms=config.retry_jitter_ms,
-            deadline_ms=config.retry_deadline_ms,
-        )
-
 
 @dataclass
 class ReliableAuthReport:

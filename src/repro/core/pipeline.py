@@ -30,11 +30,11 @@ from ..testbed.phone import APP_PACKAGES, Phone
 from ..sensors.humanness import HumannessValidator
 from ..util import spawn_seed
 from .classifier import train_event_classifier
-from .client import FiatApp, ReliableAuthReport, RetryPolicy
+from .client import FiatApp, ReliableAuthReport
 from .config import FiatConfig
 from .latency import LAN_SCENARIO, Scenario
 from .proxy import FiatProxy
-from .validation import HumanValidationService
+from .validation import HUMAN_VALIDITY_S, HumanValidationService
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a module-level import cycle
     from ..recovery import ChaosReport, RecoveryManager
@@ -124,9 +124,7 @@ class FiatSystem:
                     seed=spawn_seed(seed, "training", profile.name),
                     cloud=self.cloud,
                 )
-            self.classifiers[profile.name] = train_event_classifier(
-                profile, training, first_n=self.config.first_n_packets, obs=self.obs
-            )
+            self.classifiers[profile.name] = train_event_classifier(profile, training, obs=self.obs)
 
         self.proxy, self.validation = self.build_stack()
         #: humanness-validation confusion accumulated during experiments
@@ -192,9 +190,6 @@ class FiatSystem:
         validation = HumanValidationService(
             self._proxy_keystore,
             validator=self.validator,
-            validity_s=self.config.human_validity_s,
-            freshness_s=self.config.channel_freshness_s,
-            max_interactions=self.config.max_validated_interactions,
             obs=self.obs,
         )
         proxy = FiatProxy(
@@ -233,7 +228,6 @@ class FiatSystem:
             state_dir,
             self.build_stack,
             snapshot_interval_s=self.config.snapshot_interval_s,
-            fsync=self.config.journal_fsync,
             obs=self.obs,
         )
         manager.start(self.proxy, self.validation, now=now)
@@ -320,7 +314,6 @@ class FiatSystem:
                 when,
                 link=self._fault_link,
                 deliver=self._deliver_wire,
-                policy=RetryPolicy.from_config(self.config),
             )
             self.auth_reports.append(report)
             recorded = self._last_registered
@@ -376,7 +369,7 @@ class FiatSystem:
         rng = np.random.default_rng(seed)
         results: Dict[str, DeviceAccuracy] = {}
         t = self.config.bootstrap_s + 10.0
-        spacing = max(30.0, self.config.human_validity_s / 2.0 + 5.0)
+        spacing = max(30.0, HUMAN_VALIDITY_S / 2.0 + 5.0)
 
         for profile in self.profiles:
             start_index = len(self.proxy.decisions)

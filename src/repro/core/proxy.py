@@ -33,20 +33,20 @@ from dataclasses import asdict, dataclass, field
 from time import perf_counter
 from typing import Dict, List, Optional
 
-from ..events.grouping import UnpredictableEvent
+from ..events.grouping import EVENT_GAP_SECONDS, UnpredictableEvent
 from ..faults.breaker import BreakerState, CircuitBreaker
 from ..net.dns import DnsTable
 from ..net.packet import Packet, TrafficClass
 from ..net.trace import Trace
 from ..obs import TIMING_SAMPLE_INTERVAL_S, CounterView, MetricsRegistry, MetricsSnapshot
 from ..predictability.buckets import BucketPredictor
-from .classifier import EventClassifier
+from .classifier import FIRST_N_PACKETS, EventClassifier
 from .config import FiatConfig
 from .interactions import DeviceInteractionGraph
 from .rules import RuleTable
 from .validation import HumanValidationService
 
-__all__ = ["EventDecision", "Alert", "FiatProxy"]
+__all__ = ["EventDecision", "Alert", "FiatProxy", "LOCKOUT_WINDOW_S"]
 
 logger = logging.getLogger(__name__)
 
@@ -58,6 +58,10 @@ _STATE_VERSION = 1
 #: deployment a few milliseconds before t=0; only packets meaningfully
 #: older than the proxy's start can poison the bucket tables.
 PRE_START_TOLERANCE_S = 1.0
+
+#: Window over which unauthorized manual events count towards the
+#: brute-force lockout (``FiatConfig.lockout_threshold``), seconds.
+LOCKOUT_WINDOW_S = 300.0
 
 
 @dataclass
@@ -135,12 +139,7 @@ class FiatProxy:
         self._start_time = start_time
         self._pre_start_alerted = False
         self._bootstrap_end = start_time + config.bootstrap_s
-        self._predictor = BucketPredictor(
-            definition=config.flow_definition,
-            dns=dns,
-            resolution=config.iat_resolution,
-            obs=self._obs,
-        )
+        self._predictor = BucketPredictor(dns=dns, obs=self._obs)
         self._rules: Optional[RuleTable] = None
         self._next_refresh: Optional[float] = None
         # Hot-path timing gate: next simulated timestamp at which one
@@ -158,7 +157,6 @@ class FiatProxy:
         #: circuit breakers guarding flaky components (lazily per device)
         self._validation_breaker = CircuitBreaker(
             "validation",
-            failure_threshold=config.breaker_failure_threshold,
             recovery_timeout_s=config.breaker_recovery_s,
             obs=self._obs,
         )
@@ -202,7 +200,6 @@ class FiatProxy:
         if breaker is None:
             breaker = CircuitBreaker(
                 f"classifier:{device}",
-                failure_threshold=self.config.breaker_failure_threshold,
                 recovery_timeout_s=self.config.breaker_recovery_s,
                 obs=self._obs,
             )
@@ -259,7 +256,7 @@ class FiatProxy:
     def _record_violation(self, device: str, now: float) -> None:
         history = self._violations.setdefault(device, [])
         history.append(now)
-        cutoff = now - self.config.lockout_window_s
+        cutoff = now - LOCKOUT_WINDOW_S
         history[:] = [t for t in history if t >= cutoff]
         if len(history) >= self.config.lockout_threshold:
             self._locked[device] = now
@@ -273,7 +270,7 @@ class FiatProxy:
         classifier = self.classifiers.get(device)
         if classifier is not None and classifier.uses_rules:
             return 1
-        return self.config.first_n_packets
+        return FIRST_N_PACKETS
 
     def _classify_manual(self, device: str, classifier, prefix, now: float):
         """Classify behind the device's circuit breaker.
@@ -514,7 +511,7 @@ class FiatProxy:
 
         # Unpredictable: event grouping per device.
         event = self._open.get(device)
-        if event is not None and now - event.last_time > self.config.event_gap_s:
+        if event is not None and now - event.last_time > EVENT_GAP_SECONDS:
             self._close_event(device, event)
             event = None
         if event is None:

@@ -21,7 +21,21 @@ from ..quic.channel import ChannelReceiver
 from ..crypto.keystore import SecureKeystore
 from ..sensors.humanness import HumannessValidator
 
-__all__ = ["ValidatedInteraction", "HumanValidationService"]
+__all__ = [
+    "CHANNEL_FRESHNESS_S",
+    "HUMAN_VALIDITY_S",
+    "MAX_VALIDATED_INTERACTIONS",
+    "ValidatedInteraction",
+    "HumanValidationService",
+]
+
+#: How long a verified humanness proof authorizes manual traffic, seconds.
+HUMAN_VALIDITY_S = 60.0
+#: Freshness window of the authentication channel, seconds.
+CHANNEL_FRESHNESS_S = 30.0
+#: Hard cap on the interaction registry (a burst guard on top of the
+#: validity window).
+MAX_VALIDATED_INTERACTIONS = 4096
 
 #: Version of the serialised state schema (see
 #: :meth:`HumanValidationService.to_state`).  v2 stores the channel's
@@ -49,23 +63,18 @@ class HumanValidationService:
         self,
         keystore: SecureKeystore,
         validator: Optional[HumannessValidator] = None,
-        validity_s: float = 60.0,
-        freshness_s: float = 30.0,
-        max_interactions: int = 4096,
         obs: Optional[Observability] = None,
     ) -> None:
-        if max_interactions < 1:
-            raise ValueError("max_interactions must be >= 1")
         self.obs = obs if obs is not None else NULL_OBS
         self.receiver = ChannelReceiver(
             keystore,
             replay_cache=ReplayCache(),
-            freshness_window_s=freshness_s,
+            freshness_window_s=CHANNEL_FRESHNESS_S,
             obs=self.obs,
         )
         self.validator = validator if validator is not None else HumannessValidator().fit()
-        self.validity_s = validity_s
-        self.max_interactions = max_interactions
+        self.validity_s = HUMAN_VALIDITY_S
+        self.max_interactions = MAX_VALIDATED_INTERACTIONS
         self._interactions: List[ValidatedInteraction] = []
         self.n_non_human = 0
         self.n_pruned = 0
@@ -183,11 +192,7 @@ class HumanValidationService:
         }
 
     def restore(self, state: Dict[str, object]) -> None:
-        """Load :meth:`to_state` output into this (freshly built) service.
-
-        A stored ``n_rejected_channel`` tally is ignored: it is the sum
-        of the restored per-reason rejections.
-        """
+        """Load :meth:`to_state` output into this (freshly built) service."""
         if state.get("v") != _STATE_VERSION:
             raise ValueError(
                 f"unsupported HumanValidationService state version: {state.get('v')!r}"

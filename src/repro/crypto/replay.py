@@ -111,11 +111,7 @@ class ReplayCache:
 
     @classmethod
     def from_state(cls, state: Dict[str, object]) -> "ReplayCache":
-        """Rebuild a cache from :meth:`to_state` output.
-
-        States written with a ``n_replays_detected`` tally load too; the
-        tally is dropped (the channel counts replays per reason).
-        """
+        """Rebuild a cache from :meth:`to_state` output."""
         if state.get("v") != _STATE_VERSION:
             raise ValueError(f"unsupported ReplayCache state version: {state.get('v')!r}")
         cache = cls(

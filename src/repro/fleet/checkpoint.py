@@ -12,7 +12,8 @@ durable with the same two primitives the crash-safe proxy uses
   appended *after* the result is folded into the running aggregate.
   Appends are flushed to the OS on every record, so a ``SIGKILL`` (the
   process dies, the kernel's page cache does not) never loses an acked
-  home; ``fsync=True`` extends the guarantee to power cuts.
+  home.  They are not forced to stable storage, so a power cut can tear
+  the journal's tail; resume then ends the readable prefix there.
 * **Snapshot** — every ``snapshot_every`` homes the running
   :class:`~repro.fleet.aggregate.FleetAggregator` state is compacted
   into an atomic checksummed snapshot
@@ -236,10 +237,8 @@ class FleetCheckpoint:
         name: str,
         seed: int,
         spec_digest: str,
-        fsync: bool = False,
     ) -> None:
         self.state_dir = state_dir
-        self.fsync = fsync
         self.header: Dict[str, object] = {
             "format": FLEET_STATE_FORMAT,
             "name": name,
@@ -345,7 +344,7 @@ class FleetCheckpoint:
             self._writer.close()
         path = self._store.journal_path(self._epoch)
         fresh = not os.path.exists(path) or truncate_to == 0
-        self._writer = JournalWriter(path, fsync=self.fsync, truncate_to=truncate_to)
+        self._writer = JournalWriter(path, truncate_to=truncate_to)
         if fresh or self._writer.size_bytes == 0:
             # Every segment self-identifies: resume validates the header
             # even when no snapshot was ever written.

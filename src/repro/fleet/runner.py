@@ -122,7 +122,6 @@ class FleetRunner:
         backoff_base_s: float = 0.05,
         backoff_max_s: float = 2.0,
         snapshot_every: int = 32,
-        fsync: bool = False,
         telemetry: bool = True,
         telemetry_dir: Optional[str] = None,
         profile_slowest: bool = False,
@@ -160,7 +159,6 @@ class FleetRunner:
         self.backoff_base_s = backoff_base_s
         self.backoff_max_s = backoff_max_s
         self.snapshot_every = snapshot_every
-        self.fsync = fsync
         # Telemetry is out-of-band by contract (reports byte-identical
         # with it on or off) and lives in the state dir — no state dir,
         # no channel to tail, so it quietly stays off.  An explicit
@@ -225,7 +223,6 @@ class FleetRunner:
                 name=self.source.name,
                 seed=self.source.seed,
                 spec_digest=self.source.digest,
-                fsync=self.fsync,
             )
             if self.resume:
                 state = checkpoint.load()

@@ -225,7 +225,6 @@ def run_crashed(
     state_dir: str,
     crash: CrashWindow,
     snapshot_interval_s: float,
-    fsync: bool = False,
 ):
     """Run the workload with a journaling manager and one crash/restart.
 
@@ -234,12 +233,7 @@ def run_crashed(
     / "stale" / "none"), or raises ``AssertionError`` when a replayed
     proof registers — the invariant the sweep exists to enforce.
     """
-    manager = RecoveryManager(
-        state_dir,
-        factory,
-        snapshot_interval_s=snapshot_interval_s,
-        fsync=fsync,
-    )
+    manager = RecoveryManager(state_dir, factory, snapshot_interval_s=snapshot_interval_s)
     proxy, validation = factory()
     manager.start(proxy, validation, now=0.0)
 
@@ -373,7 +367,6 @@ def chaos_sweep(
                 os.path.join(trial_dir, "state"),
                 crash,
                 snapshot_interval_s=config.snapshot_interval_s,
-                fsync=config.journal_fsync,
             )
             trial.replay_probe = probe
             trial.n_replayed = report.n_replayed
@@ -424,7 +417,6 @@ def chaos_sweep(
                     os.path.join(trial_dir, "state-repeat"),
                     crash,
                     snapshot_interval_s=config.snapshot_interval_s,
-                    fsync=config.journal_fsync,
                 )
                 trial.deterministic = (
                     proxy2.decision_log() == proxy.decision_log()

@@ -62,13 +62,13 @@ def _parse_frame(line: bytes) -> Optional[Dict[str, object]]:
 class JournalWriter:
     """Append-only writer for one journal segment.
 
-    ``fsync=True`` forces the record to stable storage on every append
-    (the durable configuration for a real middlebox); the default relies
-    on OS buffering, which the crash harness models as journal-tail
+    Appends are flushed to the OS, not to stable storage, unless the
+    caller asks for it per record (``append(..., sync=True)``); the
+    crash harness models the un-synced tail as journal-tail
     corruption/truncation.
     """
 
-    def __init__(self, path: str, fsync: bool = False, truncate_to: Optional[int] = None) -> None:
+    def __init__(self, path: str, truncate_to: Optional[int] = None) -> None:
         if truncate_to is not None and os.path.exists(path):
             # Resume hook: cut a torn tail (everything past the last
             # valid frame, as reported by :func:`read_journal`) before
@@ -76,7 +76,6 @@ class JournalWriter:
             with open(path, "rb+") as handle:
                 handle.truncate(truncate_to)
         self.path = path
-        self.fsync = fsync
         self._handle: Optional[io.BufferedWriter] = open(path, "ab")
         self.n_appended = 0
         #: bytes known to be on stable storage (everything past this
@@ -87,17 +86,17 @@ class JournalWriter:
         """Frame and append one record; returns the bytes written.
 
         ``sync=True`` forces this record (and everything before it) to
-        stable storage regardless of the writer-level ``fsync`` setting —
-        the write-ahead discipline for security-critical records that
-        must never be un-happened by a torn tail (e.g. a consumed proof:
-        losing its journal record would reopen the replay window).
+        stable storage — the write-ahead discipline for security-critical
+        records that must never be un-happened by a torn tail (e.g. a
+        consumed proof: losing its journal record would reopen the replay
+        window).
         """
         if self._handle is None:
             raise ValueError("journal writer is closed")
         frame = frame_record(record)
         self._handle.write(frame)
         self._handle.flush()
-        if self.fsync or sync:
+        if sync:
             os.fsync(self._handle.fileno())
             self.synced_bytes = os.path.getsize(self.path)
         self.n_appended += 1

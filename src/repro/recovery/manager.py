@@ -89,7 +89,6 @@ class RecoveryManager:
         state_dir: str,
         factory: Callable[[], Tuple[object, object]],
         snapshot_interval_s: float = 300.0,
-        fsync: bool = False,
         obs: Optional[Observability] = None,
     ) -> None:
         if snapshot_interval_s <= 0:
@@ -97,7 +96,6 @@ class RecoveryManager:
         self.state_dir = state_dir
         self.factory = factory
         self.snapshot_interval_s = snapshot_interval_s
-        self.fsync = fsync
         self.obs = obs if obs is not None else NULL_OBS
         os.makedirs(state_dir, exist_ok=True)
         self._store = EpochStore(state_dir, "snapshot-{:06d}.json", "journal-{:06d}.jsonl")
@@ -247,7 +245,7 @@ class RecoveryManager:
         self._epoch += 1
         n_bytes = write_snapshot(self._store.snapshot_path(self._epoch), self._stack_state(now))
         self.close()
-        self._writer = JournalWriter(self._store.journal_path(self._epoch), fsync=self.fsync)
+        self._writer = JournalWriter(self._store.journal_path(self._epoch))
         # Synced, so a torn tail never reaches the header.
         self._writer.append(_JOURNAL_HEADER, sync=True)
         self._last_snapshot_t = now
@@ -255,7 +253,7 @@ class RecoveryManager:
         self._store.prune(self._epoch)
         self.obs.inc("recovery_snapshots_total")
         self.obs.gauge("recovery_snapshot_bytes", float(n_bytes))
-        self.obs.gauge("recovery_journal_bytes", 0.0)
+        self.obs.gauge("recovery_journal_bytes", float(self._writer.size_bytes))
         self.obs.emit("recovery.snapshot", t=now, epoch=self._epoch, bytes=n_bytes)
 
     def maybe_checkpoint(self, now: float) -> bool:

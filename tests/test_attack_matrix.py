@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import FiatConfig, FiatSystem
+from repro.core.validation import HUMAN_VALIDITY_S
 from repro.testbed import (
     AccountCompromiseAttack,
     BruteForceAttack,
@@ -101,7 +102,7 @@ class TestSpywarePiggyback:
         system.proxy.receive_auth(attempt.wire, now=100.1)
         attack = SpywareSyncAttack(system.cloud, seed=4)
         # the attacker waits too long: the proof has expired
-        event = attack.launch(DEVICE, start=100.1 + system.config.human_validity_s + 5.0)
+        event = attack.launch(DEVICE, start=100.1 + HUMAN_VALIDITY_S + 5.0)
         assert not _run(system, event.packets)
 
     def test_still_phone_spyware_fails(self, system):

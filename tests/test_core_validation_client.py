@@ -5,8 +5,10 @@ import json
 import pytest
 
 from repro.core import FiatApp, HumanValidationService
+from repro.core.validation import MAX_VALIDATED_INTERACTIONS
 from repro.crypto import pair
-from repro.quic import LAN_PATH, Transport
+from repro.features import sensor_features
+from repro.quic import LAN_PATH, AuthMessage, Transport
 from repro.sensors import HumannessValidator
 from repro.testbed import Phone
 
@@ -96,6 +98,31 @@ class TestValidationService:
         service.prune(now=1000.0)
         assert not service.has_recent_human(interaction.app_package, now=1000.0)
 
+    def test_registry_cap_prunes_the_oldest(self, stack):
+        """One proof past the cap drops exactly the oldest interaction."""
+        _, shared, phone = stack
+        phone_ks, proxy_ks = pair("phone", "proxy")
+        service = HumanValidationService(proxy_ks, validator=shared.validator)
+        features = tuple(
+            sensor_features(phone.interact("WP3", 0.0, human=True).sensor_window).tolist()
+        )
+
+        def ingest(i):
+            message = AuthMessage(
+                app_package=f"app-{i}", device_id="phone", sensor_features=features,
+                sent_at=5.0, nonce=f"n-{i}",
+            )
+            wire = phone_ks.sign("fiat-pairing", message.to_payload()).to_wire()
+            assert service.ingest(wire, now=5.0) is not None
+
+        for i in range(MAX_VALIDATED_INTERACTIONS):
+            ingest(i)
+        assert service.n_pruned == 0
+        ingest(MAX_VALIDATED_INTERACTIONS)
+        kept = [i["app_package"] for i in service.to_state()["interactions"]]
+        assert kept == [f"app-{i}" for i in range(1, MAX_VALIDATED_INTERACTIONS + 1)]
+        assert service.n_pruned == 1
+
 
 class TestChannelRejectCounts:
     def test_replays_of_one_wire_keep_state_bounded(self, stack):
@@ -144,14 +171,13 @@ class TestChannelRejectCounts:
         assert json.dumps(service.to_state()) == before
 
     def test_state_with_stored_tallies_loads(self, stack):
-        """States that also stored the channel and replay tallies still load."""
+        """Stored per-reason rejections load; the total is their sum."""
         _, shared, _ = stack
         service = HumanValidationService(pair("phone", "proxy")[1], validator=shared.validator)
         state = service.to_state()
-        state["n_rejected_channel"] = 3
         state["receiver"]["rejections"] = {"replay": 2, "malformed": 1}
-        state["receiver"]["replay_cache"]["n_replays_detected"] = 2
         service.restore(state)
+        assert service.receiver.rejections == {"replay": 2, "malformed": 1}
         assert service.n_rejected_channel == 3
         assert "n_rejected_channel" not in service.to_state()
         with pytest.raises(AttributeError):

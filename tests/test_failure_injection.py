@@ -9,10 +9,11 @@ from repro.core import (
     FiatProxy,
     FiatSystem,
     HumanValidationService,
+    RetryPolicy,
     train_event_classifier,
 )
 from repro.crypto import ReplayCache, pair
-from repro.faults import BreakerState, FaultPlan, OutageWindow
+from repro.faults import BreakerState, FaultPlan, FaultyLink, OutageWindow
 from repro.net import Direction, Packet, Trace, TrafficClass
 from repro.predictability import label_predictable
 from repro.quic import AuthMessage
@@ -185,7 +186,7 @@ class TestNonFiniteProof:
             )
             return keystore.sign("fiat-pairing", message.to_payload()).to_wire()
 
-        threshold = proxy.config.breaker_failure_threshold
+        threshold = proxy.breakers["validation"].failure_threshold
         for i in range(threshold):
             assert proxy.receive_auth(proof(poisoned, f"bad-{i}", 1.0 + i), now=1.0 + i) is None
         assert proxy.validation.receiver.rejections == {"malformed": threshold}
@@ -233,18 +234,18 @@ class TestResilientProofDelivery:
         assert all(r.acked for r in lossy.auth_reports if r.n_attempts == 1)
 
     def test_retransmission_backoff_is_exponential_with_deadline(self):
-        system = _system(
-            config=FiatConfig(
-                bootstrap_s=0.0,
-                retry_initial_rto_ms=100.0,
-                retry_backoff=2.0,
-                retry_jitter_ms=0.0,
-                retry_deadline_ms=1000.0,
+        system = _system()
+        link = FaultyLink(FaultPlan(loss_rate=1.0))
+        policy = RetryPolicy(initial_rto_ms=100, backoff=2, jitter_ms=0, deadline_ms=1000)
+        for k in range(5):
+            when = 10.0 + 30.0 * k
+            report = system.app.authenticate_reliable(
+                system.phone.interact("SP10", when, human=True),
+                when,
+                link=link,
+                deliver=system.proxy.receive_auth,
+                policy=policy,
             )
-        )
-        system.run_accuracy(n_manual=5, n_non_manual=0, n_attacks=0,
-                            faults=FaultPlan(seed=0, loss_rate=1.0))
-        for report in system.auth_reports:
             assert not report.acked
             gaps = np.diff(report.attempt_times)
             # gaps double: 0.1, 0.2, 0.4 — the next (0.8) lands past the deadline

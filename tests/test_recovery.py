@@ -11,6 +11,7 @@ from repro.core.pipeline import FiatSystem
 from repro.crypto.replay import ReplayCache
 from repro.faults import CrashWindow
 from repro.faults.breaker import CircuitBreaker
+from repro.obs import Observability
 from repro.predictability import BucketPredictor
 from repro.recovery import (
     JournalWriter,
@@ -221,6 +222,22 @@ class TestRecoveryManager:
         with pytest.raises(ValueError, match="no attached stack"):
             manager.checkpoint(5.0)
         assert _dir_bytes(state_dir) == before
+
+    def test_journal_bytes_gauge_counts_the_header_after_rotation(self, tmp_path, chaos_system):
+        obs = Observability()
+        manager = RecoveryManager(str(tmp_path / "state"), chaos_system.build_stack, obs=obs)
+
+        def gauge():
+            return obs.registry.get_gauge("recovery_journal_bytes", default=-1.0)
+
+        manager.start(*chaos_system.build_stack())
+        assert manager.journal_size_bytes > 0  # the header record
+        assert gauge() == manager.journal_size_bytes
+        manager.journal_packet(make_packet(timestamp=1.0, device="SP10"))
+        manager.checkpoint(2.0)
+        assert manager.epoch == 2
+        assert gauge() == manager.journal_size_bytes
+        manager.close()
 
     def test_start_refuses_nonempty_state_dir(self, tmp_path, chaos_system):
         state_dir = str(tmp_path / "state")
